@@ -20,9 +20,8 @@ struct OrderingStats {
 OrderingStats stats(const Graph& g, const Ordering& o) {
   OrderingStats s;
   double sum = 0.0;
-  for (i64 i = 0; i < g.num_nodes(); ++i) {
-    const i64 d =
-        static_cast<i64>(compute_vertex_sets(g, o, i).dependent.size());
+  for (const auto& dependent : dep_sets(g, o).dependent) {
+    const i64 d = static_cast<i64>(dependent.size());
     s.max_dep = std::max(s.max_dep, d);
     sum += static_cast<double>(d);
   }

@@ -34,12 +34,11 @@ void BM_GenerateSeq_Transformer(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateSeq_Transformer);
 
-void BM_ComputeVertexSets_Inception(benchmark::State& state) {
+void BM_DepSets_Inception(benchmark::State& state) {
   const Ordering o = generate_seq(inception());
-  for (auto _ : state)
-    benchmark::DoNotOptimize(compute_all_vertex_sets(inception(), o));
+  for (auto _ : state) benchmark::DoNotOptimize(dep_sets(inception(), o));
 }
-BENCHMARK(BM_ComputeVertexSets_Inception);
+BENCHMARK(BM_DepSets_Inception);
 
 void BM_EnumerateConfigs(benchmark::State& state) {
   const Node conv = ops::conv2d("c", 128, 256, 17, 17, 192, 3, 3);

@@ -73,21 +73,69 @@ VertexSets compute_vertex_sets(const Graph& graph, const Ordering& order,
   return out;
 }
 
-std::vector<VertexSets> compute_all_vertex_sets(const Graph& graph,
-                                                const Ordering& order) {
-  std::vector<VertexSets> out;
-  out.reserve(order.seq.size());
-  for (i64 i = 0; i < static_cast<i64>(order.seq.size()); ++i)
-    out.push_back(compute_vertex_sets(graph, order, i));
+DepSets dep_sets(const Graph& graph, const Ordering& order) {
+  const i64 n = graph.num_nodes();
+  DepSets out;
+  out.dependent.resize(static_cast<size_t>(n));
+  out.anchors.resize(static_cast<size_t>(n));
+
+  // Union-find over positions of the sequenced prefix. Position i becomes
+  // the parent of every component it joins, so a component's root is its
+  // top (maximum) position — the anchor Fig. 4 line 14 names it by.
+  std::vector<i64> parent(static_cast<size_t>(n));
+  auto find = [&](i64 x) {
+    while (parent[static_cast<size_t>(x)] != x) {
+      auto& px = parent[static_cast<size_t>(x)];
+      px = parent[static_cast<size_t>(px)];  // path halving
+      x = px;
+    }
+    return x;
+  };
+  // Stamp arrays dedup anchors and dependent-set members per position.
+  std::vector<i64> anchor_seen(static_cast<size_t>(n), -1);
+  std::vector<i64> member_seen(static_cast<size_t>(n), -1);
+
+  for (i64 i = 0; i < n; ++i) {
+    const NodeId vi = order.seq[static_cast<size_t>(i)];
+    auto& anchors = out.anchors[static_cast<size_t>(i)];
+    auto& dep = out.dependent[static_cast<size_t>(i)];
+    auto add_member = [&](NodeId w) {
+      if (order.pos[static_cast<size_t>(w)] > i &&
+          member_seen[static_cast<size_t>(w)] != i) {
+        member_seen[static_cast<size_t>(w)] = i;
+        dep.push_back(w);
+      }
+    };
+    for (NodeId w : graph.neighbors(vi)) {
+      const i64 pw = order.pos[static_cast<size_t>(w)];
+      if (pw > i) {
+        add_member(w);
+      } else if (pw < i) {
+        const i64 j = find(pw);
+        if (anchor_seen[static_cast<size_t>(j)] != i) {
+          anchor_seen[static_cast<size_t>(j)] = i;
+          anchors.push_back(j);
+        }
+      }
+    }
+    parent[static_cast<size_t>(i)] = i;
+    for (const i64 j : anchors) {
+      for (NodeId w : out.dependent[static_cast<size_t>(j)]) add_member(w);
+      parent[static_cast<size_t>(j)] = i;
+    }
+    std::sort(anchors.begin(), anchors.end());
+    std::sort(dep.begin(), dep.end());
+  }
+
+  for (i64 i = n - 1; i >= 0; --i)
+    if (find(i) == i) out.roots.push_back(i);
   return out;
 }
 
 i64 max_dependent_set_size(const Graph& graph, const Ordering& order) {
   i64 m = 0;
-  for (i64 i = 0; i < static_cast<i64>(order.seq.size()); ++i) {
-    const VertexSets s = compute_vertex_sets(graph, order, i);
-    m = std::max(m, static_cast<i64>(s.dependent.size()));
-  }
+  for (const auto& d : dep_sets(graph, order).dependent)
+    m = std::max(m, static_cast<i64>(d.size()));
   return m;
 }
 

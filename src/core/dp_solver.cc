@@ -4,9 +4,9 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
-#include "core/block_collapse.h"
 #include "core/dep_sets.h"
 #include "cost/cost_cache.h"
 #include "obs/metrics.h"
@@ -49,11 +49,11 @@ std::string fmt_count(double v) {
 /// and it gives each parallel worker a distinct, pre-sized slot to write,
 /// which is what makes the threaded fan-out race-free and deterministic.
 struct PositionState {
-  std::vector<NodeId> dependent;  ///< D(i), sorted by node id
-  std::vector<i64> anchors;       ///< S(i) anchor positions
-  std::vector<u32> radix;         ///< |C(dependent[k])|
-  std::vector<u64> stride;        ///< mixed-radix strides, stride[0] = 1
-  std::vector<Entry> table;       ///< size = prod(radix)
+  std::span<const NodeId> dependent;  ///< D(i), sorted by node id
+  std::span<const i64> anchors;       ///< S(i) anchor positions
+  std::vector<u32> radix;             ///< |C(dependent[k])|
+  std::vector<u64> stride;            ///< mixed-radix strides, stride[0] = 1
+  std::vector<Entry> table;           ///< size = prod(radix)
 
   u64 index_of(const std::vector<u32>& cur_idx) const {
     u64 idx = 0;
@@ -226,9 +226,7 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   // daemon keeps one warm per graph signature) survives across solves, so
   // its counters are reported as this solve's delta. Under concurrent
   // solves sharing one cache the delta is approximate (other requests bump
-  // the same counters) — diagnostics only, never results. Constructed
-  // before the ordering phase because block collapsing reads its structural
-  // equivalence classes.
+  // the same counters) — diagnostics only, never results.
   std::optional<CostCache> own_cost_cache;
   CostCache* cost_cache = nullptr;
   if (options.use_cost_cache) {
@@ -240,10 +238,11 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     }
   }
 
-  Ordering order;
+  // The adjacency-pure phases (ordering, vertex sets, roots) come from the
+  // context when it matches this graph; otherwise they are computed into a
+  // fresh snapshot that the context receives after a successful solve.
   std::shared_ptr<const DpContext::Snapshot> reused;
-  BlockPlan plan;
-  bool have_plan = false;
+  std::shared_ptr<DpContext::Snapshot> fresh;
   {
     PhaseScope phase(trace, metrics, "ordering", "dp.phase.ordering_seconds");
     if (options.context) {
@@ -251,39 +250,20 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
       if (metrics)
         metrics->add_counter(reused ? "dp.reuse.hits" : "dp.reuse.misses", 1);
     }
-    if (options.collapse_blocks) {
-      // The plan powers the per-class cost memo below even when the
-      // ordering itself comes from a context snapshot, so detect always.
-      if (cost_cache) {
-        plan = detect_blocks(graph, *cost_cache);
-      } else {
-        const CostCache classes_only(graph);
-        plan = detect_blocks(graph, classes_only);
-      }
-      have_plan = true;
-      result.collapse_fired = plan.fired();
-      result.collapse_period = plan.period;
-      result.collapse_blocks = plan.count;
-      if (metrics && plan.fired()) {
-        metrics->add_counter("dp.collapse.fired", 1);
-        metrics->record("dp.collapse.period", plan.period);
-        metrics->record("dp.collapse.blocks", plan.count);
-      }
-    }
     if (reused) {
-      order = reused->order;
       result.reused_tables = true;
-    } else if (have_plan && plan.fired() &&
-               options.ordering == OrderingKind::kGenerateSeq) {
-      CollapseOrderingStats stats;
-      order = collapsed_generate_seq(graph, plan, &stats);
-      result.collapse_ordering_extrapolated = stats.certified;
-      if (metrics && stats.certified)
-        metrics->add_counter("dp.collapse.ordering_certified", 1);
     } else {
-      order = make_ordering(graph, options.ordering);
+      fresh = std::make_shared<DpContext::Snapshot>();
+      fresh->order = make_ordering(graph, options.ordering);
     }
   }
+  if (fresh) {
+    PhaseScope phase(trace, metrics, "dep_sets", "dp.phase.dep_sets_seconds");
+    fresh->sets = dep_sets(graph, fresh->order);
+  }
+  const DpContext::Snapshot& adjacency = reused ? *reused : *fresh;
+  const Ordering& order = adjacency.order;
+  const DepSets& sets = adjacency.sets;
   std::optional<ConfigCache> configs_storage;
   {
     PhaseScope phase(trace, metrics, "configs", "dp.phase.configs_seconds");
@@ -401,16 +381,16 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   // the external token is observed set.
   std::atomic<bool> cancel{false};
 
-  // Per-class cost memoization (collapse mode): same-class vertices share
-  // their t_l vector and t_x matrices — the "solve one class representative"
-  // half of block collapsing. Exactness: a CostCache class groups nodes
-  // (edges) whose every cost-model input is byte-identical, so equal class
-  // implies equal cost for equal configurations; equality of the actual
-  // configuration LISTS is verified at lookup (never assumed — a
-  // ConfigOptions filter could in principle admit different lists for
-  // same-class nodes, in which case the memo simply misses). Fills happen on
-  // the calling thread before the parallel fan-out, preserving the
-  // bit-identical-at-any-thread-count contract.
+  // Per-class cost memoization, on whenever a cost cache is: same-class
+  // vertices share their t_l vector and t_x matrices, so a repeated layer
+  // costs one lookup instead of |C(v)| (x |C(w)|) cache probes. Exactness:
+  // a CostCache class groups nodes (edges) whose every cost-model input is
+  // byte-identical, so equal class implies equal cost for equal
+  // configurations; equality of the actual configuration LISTS is verified
+  // at lookup (never assumed — a ConfigOptions filter could in principle
+  // admit different lists for same-class nodes, in which case the memo
+  // simply misses). Fills happen on the calling thread before the parallel
+  // fan-out, preserving the bit-identical-at-any-thread-count contract.
   struct ClassNodeCosts {
     NodeId rep = kInvalidNode;
     std::shared_ptr<const std::vector<double>> costs;
@@ -433,20 +413,8 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     const auto& vi_configs = configs.at(vi);
     PositionState& st = states[static_cast<size_t>(i)];
 
-    {
-      PhaseScope phase(trace, metrics, "dep_sets",
-                       "dp.phase.dep_sets_seconds");
-      phase.arg("vertex", i);
-      if (reused) {
-        st.dependent = reused->dependent[static_cast<size_t>(i)];
-        st.anchors = reused->anchors[static_cast<size_t>(i)];
-      } else {
-        const VertexSets sets = compute_vertex_sets(graph, order, i);
-        st.dependent = sets.dependent;
-        st.anchors = sets.subset_anchors;
-      }
-      phase.arg("dep_set", static_cast<i64>(st.dependent.size()));
-    }
+    st.dependent = sets.dependent[static_cast<size_t>(i)];
+    st.anchors = sets.anchors[static_cast<size_t>(i)];
     result.dependent_set_sizes.push_back(
         static_cast<i64>(st.dependent.size()));
     result.max_dependent_set = std::max(
@@ -458,6 +426,7 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     PhaseScope fill_phase(trace, metrics, "table_fill",
                           "dp.phase.table_fill_seconds");
     fill_phase.arg("vertex", i);
+    fill_phase.arg("dep_set", static_cast<i64>(st.dependent.size()));
 
     // Guard against combinatorial blow-up (paper Table I "OOM" outcome).
     double combos = 1.0;
@@ -510,15 +479,14 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     };
 
     // Precompute t_l(v^(i), C) for every C in C(v^(i)) — shared across
-    // same-class vertices in collapse mode.
+    // same-class vertices.
     std::shared_ptr<const std::vector<double>> node_costs_ptr;
-    if (have_plan) {
-      const auto it =
-          class_node_costs.find(plan.node_class[static_cast<size_t>(vi)]);
+    if (cost_cache) {
+      const auto it = class_node_costs.find(cost_cache->node_class(vi));
       if (it != class_node_costs.end() &&
           configs.at(it->second.rep) == vi_configs) {
         node_costs_ptr = it->second.costs;
-        if (metrics) metrics->add_counter("dp.collapse.node_memo_hits", 1);
+        if (metrics) metrics->add_counter("dp.cost_memo.node_hits", 1);
       }
     }
     if (!node_costs_ptr) {
@@ -534,17 +502,16 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
         (*computed)[c] = cost.node_cost(vi, vi_configs[c]);
       }
       node_costs_ptr = std::move(computed);
-      if (have_plan)
-        class_node_costs[plan.node_class[static_cast<size_t>(vi)]] = {
-            vi, node_costs_ptr};
+      if (cost_cache)
+        class_node_costs[cost_cache->node_class(vi)] = {vi, node_costs_ptr};
     }
     const std::vector<double>& node_costs = *node_costs_ptr;
 
     // Later edges of v^(i) (the H function's transfer terms) with their full
     // |C(v^(i))| x |C(w)| cost matrices; every later neighbor w is in D(i).
-    // In collapse mode a matrix is shared across edges of the same
-    // structural class and orientation once both endpoint configuration
-    // lists are verified equal to the representative's.
+    // A matrix is shared across edges of the same structural class and
+    // orientation once both endpoint configuration lists are verified equal
+    // to the representative's.
     struct LaterEdge {
       NodeId other;
       std::shared_ptr<const std::vector<double>>
@@ -561,17 +528,16 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
       le.other = w;
       const auto& w_configs = configs.at(w);
       const u64 memo_key =
-          (static_cast<u64>(
-               have_plan ? plan.edge_class[static_cast<size_t>(e.id)] : 0)
+          (static_cast<u64>(cost_cache ? cost_cache->edge_class(e.id) : 0)
            << 1) |
           (e.src == vi ? 1u : 0u);
-      if (have_plan) {
+      if (cost_cache) {
         const auto it = class_edge_costs.find(memo_key);
         if (it != class_edge_costs.end() &&
             configs.at(it->second.rep_vi) == vi_configs &&
             configs.at(it->second.rep_other) == w_configs) {
           le.cost_matrix = it->second.matrix;
-          if (metrics) metrics->add_counter("dp.collapse.edge_memo_hits", 1);
+          if (metrics) metrics->add_counter("dp.cost_memo.edge_hits", 1);
         }
       }
       if (!le.cost_matrix) {
@@ -591,8 +557,7 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
                 cost.edge_cost(e, src, dst);
           }
         le.cost_matrix = std::move(matrix);
-        if (have_plan)
-          class_edge_costs[memo_key] = {vi, w, le.cost_matrix};
+        if (cost_cache) class_edge_costs[memo_key] = {vi, w, le.cost_matrix};
       }
       later_edges.push_back(std::move(le));
     }
@@ -710,22 +675,10 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   // subgraphs), each weakly connected component is covered by its own
   // maximum-position vertex, whose dependent set is empty; costs add and
   // back-substitution runs per component root.
-  std::vector<i64> roots;
+  const std::vector<i64>& roots = sets.roots;
   {
     PhaseScope phase(trace, metrics, "back_substitution",
                      "dp.phase.back_substitution_seconds");
-    if (reused) {
-      roots = reused->roots;
-    } else {
-      Bitset covered(n);
-      for (i64 i = n - 1; i >= 0; --i) {
-        const NodeId vi = order.seq[static_cast<size_t>(i)];
-        if (covered.test(vi)) continue;
-        roots.push_back(i);
-        for (NodeId v : compute_vertex_sets(graph, order, i).connected)
-          covered.set(v);
-      }
-    }
     phase.arg("roots", static_cast<i64>(roots.size()));
 
     result.best_cost = 0.0;
@@ -748,23 +701,13 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
 
   // Publish this solve's adjacency-pure phases (ordering, vertex sets,
   // roots) for future delta re-solves under mutated parameters.
-  if (options.context && !reused) {
-    auto snap = std::make_shared<DpContext::Snapshot>();
-    snap->kind = options.ordering;
-    snap->num_nodes = n;
-    snap->edges.reserve(static_cast<size_t>(graph.num_edges()));
-    for (const Edge& e : graph.edges()) snap->edges.emplace_back(e.src, e.dst);
-    snap->order = order;
-    snap->dependent.resize(static_cast<size_t>(n));
-    snap->anchors.resize(static_cast<size_t>(n));
-    for (i64 i = 0; i < n; ++i) {
-      snap->dependent[static_cast<size_t>(i)] =
-          states[static_cast<size_t>(i)].dependent;
-      snap->anchors[static_cast<size_t>(i)] =
-          states[static_cast<size_t>(i)].anchors;
-    }
-    snap->roots = roots;
-    options.context->store(std::move(snap));
+  if (options.context && fresh) {
+    fresh->kind = options.ordering;
+    fresh->num_nodes = n;
+    fresh->edges.reserve(static_cast<size_t>(graph.num_edges()));
+    for (const Edge& e : graph.edges())
+      fresh->edges.emplace_back(e.src, e.dst);
+    options.context->store(fresh);
     if (metrics) metrics->add_counter("dp.reuse.stores", 1);
   }
 

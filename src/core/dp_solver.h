@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "config/config_enum.h"
+#include "core/dep_sets.h"
 #include "core/ordering.h"
 #include "cost/cost_model.h"
 #include "graph/graph.h"
@@ -68,12 +69,12 @@ class TraceSession;
 /// under mutated parameters (the serving daemon after a batch-size change,
 /// the robustness evaluator re-solving per degraded machine) can hand the
 /// same DpContext to every solve: on an adjacency match the solver skips the
-/// ordering and vertex-set phases — the dominant cost at thousand-node scale
-/// — and only refills the (cheap) DP tables. On any mismatch the context is
-/// ignored, so reuse can never change results; the solver verifies the
-/// stored (src, dst) edge list element-for-element rather than trusting a
-/// hash. Thread-safe; solves from any number of threads may share one
-/// context. The stored snapshot is replaced wholesale after a successful
+/// ordering and vertex-set phases (both near-linear, milliseconds even at
+/// thousand-node scale) and only refills the DP tables. On any mismatch the
+/// context is ignored, so reuse can never change results; the solver
+/// verifies the stored (src, dst) edge list element-for-element rather than
+/// trusting a hash. Thread-safe; solves from any number of threads may share
+/// one context. The stored snapshot is replaced wholesale after a successful
 /// solve of a non-matching graph.
 class DpContext {
  public:
@@ -83,9 +84,7 @@ class DpContext {
     /// Exact (src, dst) per EdgeId — identity, not a hash.
     std::vector<std::pair<NodeId, NodeId>> edges;
     Ordering order;
-    std::vector<std::vector<NodeId>> dependent;  ///< D(i) per position
-    std::vector<std::vector<i64>> anchors;       ///< S(i) per position
-    std::vector<i64> roots;  ///< component root positions (descending)
+    DepSets sets;  ///< D(i), S(i) and the roots for `order`
   };
 
   /// The stored snapshot when it matches (kind, adjacency of `graph`)
@@ -139,8 +138,9 @@ struct DpOptions {
   i64 num_threads = 1;
 
   /// Memoize t_l/t_x across structurally identical layers and edges (see
-  /// cost/cost_cache.h). Never changes results; pase_cli --no-cost-cache
-  /// disables it for ablation.
+  /// cost/cost_cache.h), and share whole per-class cost vectors/matrices
+  /// between same-class vertices and edges within a solve. Never changes
+  /// results; pase_cli --no-cost-cache disables both for ablation.
   bool use_cost_cache = true;
   /// Optional caller-owned cost cache shared across solves (the serving
   /// daemon keeps one warm per (graph signature, cost params) pair so a hot
@@ -153,18 +153,6 @@ struct DpOptions {
   /// cache is thread-safe; it never changes results (cost functions are
   /// pure). Must outlive the call.
   CostCache* shared_cost_cache = nullptr;
-
-  /// Block collapsing for repeated-structure graphs (core/block_collapse.h,
-  /// docs/SCALING.md): detect maximal runs of structurally identical blocks,
-  /// run GenerateSeq on a small representative window, stitch + certify the
-  /// full ordering, and reuse per-class node-cost vectors and edge-cost
-  /// matrices across same-class vertices. Results are ALWAYS bit-identical
-  /// to collapse_blocks = false — the stitched ordering is certified against
-  /// the greedy's own invariant (falling back to the full GenerateSeq on any
-  /// mismatch) and class reuse is verified against each vertex's actual
-  /// configuration list. Off by default; pase_cli --collapse-blocks and the
-  /// serving daemon enable it.
-  bool collapse_blocks = false;
 
   /// Optional cross-solve context for delta re-solves (see DpContext). When
   /// non-null and its snapshot matches this graph's adjacency + ordering
@@ -222,16 +210,8 @@ struct DpResult {
   u64 cost_cache_hits = 0;
   u64 cost_cache_misses = 0;
 
-  // Block-collapse and delta-re-solve diagnostics (docs/SCALING.md). All
-  // structural: identical at every thread count.
-  bool collapse_fired = false;  ///< a run of >= kMinCollapseBlocks detected
-  i64 collapse_period = 0;      ///< nodes per detected block
-  i64 collapse_blocks = 0;      ///< detected block instances
-  /// The ordering came from the window + stitch fast path and passed
-  /// certification (false also when the fast path fell back to the full
-  /// GenerateSeq — the result is bit-identical either way).
-  bool collapse_ordering_extrapolated = false;
-  /// Ordering/vertex sets/roots were reused from DpOptions::context.
+  /// Ordering/vertex sets/roots were reused from DpOptions::context
+  /// (structural: identical at every thread count).
   bool reused_tables = false;
 };
 

@@ -1,6 +1,10 @@
 #include "core/ordering.h"
 
+#include <algorithm>
+#include <iterator>
 #include <queue>
+#include <set>
+#include <utility>
 
 #include "util/bitset.h"
 #include "util/check.h"
@@ -14,53 +18,57 @@ Ordering generate_seq(const Graph& graph) {
   out.pos.assign(static_cast<size_t>(n), -1);
   out.dep_sets.resize(static_cast<size_t>(n));
 
-  // v.d <- N(v)  (Fig. 3 line 1)
-  std::vector<Bitset> d(static_cast<size_t>(n));
-  for (NodeId v = 0; v < n; ++v)
-    d[static_cast<size_t>(v)] = graph.neighbor_set(v);
+  // v.d <- N(v)  (Fig. 3 line 1), kept sorted by node id and without v
+  // itself: the paper's v.d may pick up v through a merge (the invariant
+  // D(j)|i of Theorem 2's proof intersects with V_>i, which still holds
+  // v^(j)), but that entry never counts toward |v.d| and is dropped the
+  // moment v is sequenced, so leaving it out changes no pick and no D(i).
+  std::vector<std::vector<NodeId>> d(static_cast<size_t>(n));
+  // The unsequenced nodes ordered by (|v.d|, id). Fig. 3's line 5 scans in
+  // id order for the first strictly smaller |v.d|, which is exactly the
+  // lexicographic minimum of this set; sizes change only for the nodes a
+  // step merges into, so each step costs O(d (d + log |V|)) for the largest
+  // |v.d| = d instead of a scan over every unsequenced node.
+  std::set<std::pair<i64, NodeId>> by_size;
+  for (NodeId v = 0; v < n; ++v) {
+    auto& dv = d[static_cast<size_t>(v)];
+    for (NodeId w : graph.neighbors(v))
+      if (w != v) dv.push_back(w);
+    std::sort(dv.begin(), dv.end());
+    by_size.emplace(static_cast<i64>(dv.size()), v);
+  }
 
-  Bitset unsequenced(n);
-  for (NodeId v = 0; v < n; ++v) unsequenced.set(v);
-
+  std::vector<NodeId> merged_into;
   for (i64 i = 0; i < n; ++i) {
-    // Pick the unsequenced node with minimum |v.d| (line 5). While a node
-    // is unsequenced its v.d may contain the node itself (the invariant
-    // D(j)|i of Theorem 2's proof intersects with V_>i, which still holds
-    // v^(j)); the node's own entry disappears from its dependent set the
-    // moment it is sequenced, so it is excluded from the cardinality.
-    NodeId best = kInvalidNode;
-    i64 best_size = 0;
-    unsequenced.for_each([&](i64 u) {
-      const auto& du = d[static_cast<size_t>(u)];
-      const i64 size = du.count() - (du.test(u) ? 1 : 0);
-      if (best == kInvalidNode || size < best_size) {
-        best = static_cast<NodeId>(u);
-        best_size = size;
-      }
-    });
-    PASE_CHECK(best != kInvalidNode);
-
+    // Pick the unsequenced node with minimum |v.d| (line 5).
+    PASE_CHECK(!by_size.empty());
+    const NodeId best = by_size.begin()->second;
+    by_size.erase(by_size.begin());
     out.seq.push_back(best);
     out.pos[static_cast<size_t>(best)] = i;
-    unsequenced.reset(best);
-    d[static_cast<size_t>(best)].reset(best);  // D(i) = v.d - {v^(i)}
 
-    // Record v^(i).d before propagating (it equals D(i), Theorem 2).
-    out.dep_sets[static_cast<size_t>(i)] =
-        [&] {
-          std::vector<NodeId> ids;
-          d[static_cast<size_t>(best)].for_each(
-              [&](i64 v) { ids.push_back(static_cast<NodeId>(v)); });
-          return ids;
-        }();
+    // v^(i).d equals D(i) (Theorem 2).
+    auto& merged = out.dep_sets[static_cast<size_t>(i)];
+    merged = std::move(d[static_cast<size_t>(best)]);
 
     // For all v in v^(i).d: v.d <- v.d U v^(i).d - {v^(i)}  (lines 7-9).
-    const Bitset merged = d[static_cast<size_t>(best)];
-    merged.for_each([&](i64 v) {
+    for (NodeId v : merged) {
       auto& dv = d[static_cast<size_t>(v)];
-      dv |= merged;
-      dv.reset(best);
-    });
+      const i64 old_size = static_cast<i64>(dv.size());
+      merged_into.clear();
+      std::set_union(dv.begin(), dv.end(), merged.begin(), merged.end(),
+                     std::back_inserter(merged_into));
+      merged_into.erase(
+          std::remove_if(merged_into.begin(), merged_into.end(),
+                         [&](NodeId w) { return w == v || w == best; }),
+          merged_into.end());
+      dv.swap(merged_into);
+      const i64 new_size = static_cast<i64>(dv.size());
+      if (new_size != old_size) {
+        by_size.erase({old_size, v});
+        by_size.emplace(new_size, v);
+      }
+    }
   }
   return out;
 }

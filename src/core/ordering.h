@@ -23,14 +23,16 @@ struct Ordering {
   /// pos[v] = position of node v in seq.
   std::vector<i64> pos;
 
-  /// Dependent-set sizes tracked by GenerateSeq (v.d in Fig. 3); only
-  /// populated by generate_seq(), used to verify Theorem 2 and for the
-  /// dependent-set ablation.
+  /// Dependent sets tracked by GenerateSeq (v^(i).d in Fig. 3), sorted by
+  /// node id; only populated by generate_seq(), used to verify Theorem 2.
   std::vector<std::vector<NodeId>> dep_sets;
 };
 
-/// Paper Fig. 3: greedy minimum-|v.d| sequencing, O(|V|^2).
-/// Ties are broken by smallest node id for determinism.
+/// Paper Fig. 3: greedy minimum-|v.d| sequencing. Ties are broken by
+/// smallest node id for determinism. The unsequenced nodes are kept ordered
+/// by (|v.d|, id) and only the sizes a step merges into are updated, so a
+/// step costs O(d (d + log |V|)) for the largest |v.d| = d rather than the
+/// figure's O(|V|) rescan; the picks are the figure's, bit for bit.
 Ordering generate_seq(const Graph& graph);
 
 /// Breadth-first traversal from node 0, direction-agnostic.

@@ -63,7 +63,7 @@ Graph mlp(i64 batch, const std::vector<i64>& widths);
 /// pre-norm blocks (LN -> attention -> residual, LN -> feed-forward ->
 /// residual; 6 nodes each) between an embedding head and an
 /// LN/projection/softmax tail. Every block is structurally identical, the
-/// workload block collapsing (docs/SCALING.md) is built for; N up to 1000
+/// repeated-structure workload of docs/SCALING.md; N up to 1000
 /// and beyond is supported. Defaults keep per-node work small so graph size,
 /// not per-vertex cost, dominates search time.
 Graph transformer_stack(i64 blocks, i64 batch = 8, i64 seq_len = 64,

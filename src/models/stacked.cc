@@ -3,10 +3,10 @@
 // -> residual add — repeated N times between an embedding head and a
 // LayerNorm + vocabulary-projection + softmax tail. Every block is
 // byte-for-byte structurally identical (same extents, same edge wiring
-// offsets), which is exactly what the block-collapse pass in
-// src/core/block_collapse.h detects: the whole stack folds into one
-// 6-node representative however large N is. N is capped only by memory;
-// the thousand-layer configurations in docs/SCALING.md use this family.
+// offsets), so every block's layers and edges fall into the same CostCache
+// classes and the DP solver prices one block's costs for the whole stack.
+// N is capped only by memory; the thousand-layer configurations in
+// docs/SCALING.md use this family.
 #include "models/models.h"
 #include "ops/ops.h"
 #include "util/check.h"

@@ -31,8 +31,8 @@ std::optional<Graph> zoo_graph(const std::string& name) {
                              /*d_model=*/512, /*heads=*/8, /*d_ff=*/2048,
                              /*vocab=*/16384);
   // Generated N-block GPT-style stacks ("transformer_stack_<N>", N in
-  // [1, 100000]): the repeated-structure family block collapsing and delta
-  // re-solves are built for (docs/SCALING.md). The suffix must be a plain
+  // [1, 100000]): the repeated-structure family of the scaling bench and
+  // delta re-solves (docs/SCALING.md). The suffix must be a plain
   // decimal with no leading zero so every accepted name has exactly one
   // spelling (the result cache keys on the name).
   constexpr char kStackPrefix[] = "transformer_stack_";

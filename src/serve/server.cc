@@ -739,7 +739,6 @@ ServeCore::SolveOutcome ServeCore::run_solve(
   options.num_threads = options_.solver_threads;
   auto shared_cache = cost_cache_for(key, graph);
   options.shared_cost_cache = shared_cache.get();
-  options.collapse_blocks = options_.collapse_blocks;
   std::shared_ptr<DpContext> context;
   if (options_.reuse_tables) {
     context = dp_context_for(graph);

@@ -95,10 +95,6 @@ struct ServeOptions {
   std::string event_log_path;  ///< stream the event log here ("" = memory
                                ///< ring only)
   i64 event_log_memory = 1024;  ///< in-memory event ring capacity
-  /// Block collapsing for repeated-structure graphs (docs/SCALING.md).
-  /// Never changes results (certified bit-identical in the solver); on by
-  /// default so thousand-layer zoo stacks solve in seconds.
-  bool collapse_blocks = true;
   /// Delta re-solves: keep one DpContext per graph *adjacency* so a
   /// cache-miss re-solve of a known topology under mutated parameters
   /// (batch size, devices, bandwidths) skips the ordering/vertex-set

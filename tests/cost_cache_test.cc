@@ -5,6 +5,7 @@
 #include "core/dp_solver.h"
 #include "cost/cost_model.h"
 #include "models/models.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace pase {
@@ -116,16 +117,25 @@ TEST(CostCache, DpSolverResultsIdenticalWithAndWithoutCache) {
     DpOptions without = with;
     with.use_cost_cache = true;
     without.use_cost_cache = false;
+    MetricsRegistry with_reg, without_reg;
+    with.metrics = &with_reg;
+    without.metrics = &without_reg;
+    const auto memo_hits = [](const MetricsRegistry& reg) {
+      return reg.counter("dp.cost_memo.node_hits") +
+             reg.counter("dp.cost_memo.edge_hits");
+    };
 
     const DpResult a = find_best_strategy(g, with);
     const DpResult b = find_best_strategy(g, without);
     ASSERT_EQ(a.status, b.status) << name;
     EXPECT_EQ(a.best_cost, b.best_cost) << name;
     EXPECT_EQ(a.strategy, b.strategy) << name;
-    // The cache did real work on these repeated-structure models...
-    EXPECT_GT(a.cost_cache_hits, 0u) << name;
-    // ...and the uncached run reports no cache traffic.
+    // Memoization served evaluations on these repeated-structure models,
+    // from the cache or from the per-class memo in front of it...
+    EXPECT_GT(a.cost_cache_hits + memo_hits(with_reg), 0u) << name;
+    // ...and the uncached run memoizes nothing at all.
     EXPECT_EQ(b.cost_cache_hits + b.cost_cache_misses, 0u) << name;
+    EXPECT_EQ(memo_hits(without_reg), 0u) << name;
   }
 }
 

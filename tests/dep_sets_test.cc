@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/dep_sets.h"
 #include "models/models.h"
@@ -147,6 +148,88 @@ TEST(DepSets, MaxDependentSetSizeMatchesPerPositionMax) {
     m = std::max(m, static_cast<i64>(
                         compute_vertex_sets(g, o, i).dependent.size()));
   EXPECT_EQ(max_dependent_set_size(g, o), m);
+}
+
+// The one-pass union-find sweep the solver uses must equal the prefix-DFS
+// reference position for position: D(i) (sorted by id), the S(i) anchors,
+// and the roots, which are each weakly connected component's maximum
+// position in descending order (the positions whose X(i) is a whole
+// component).
+void expect_sweep_matches_reference(const Graph& g, const Ordering& o) {
+  const DepSets sweep = dep_sets(g, o);
+  ASSERT_EQ(static_cast<i64>(sweep.dependent.size()), g.num_nodes());
+  ASSERT_EQ(static_cast<i64>(sweep.anchors.size()), g.num_nodes());
+  std::vector<i64> roots;
+  Bitset covered(g.num_nodes());
+  for (i64 i = g.num_nodes() - 1; i >= 0; --i) {
+    const VertexSets ref = compute_vertex_sets(g, o, i);
+    EXPECT_EQ(sweep.dependent[static_cast<size_t>(i)], ref.dependent)
+        << "D at position " << i;
+    EXPECT_EQ(sweep.anchors[static_cast<size_t>(i)], ref.subset_anchors)
+        << "S anchors at position " << i;
+    if (covered.test(o.seq[static_cast<size_t>(i)])) continue;
+    roots.push_back(i);
+    for (NodeId v : ref.connected) covered.set(v);
+  }
+  EXPECT_EQ(sweep.roots, roots);
+}
+
+TEST(DepSetSweep, MatchesDfsReferenceAcrossZoo) {
+  for (const char* name :
+       {"alexnet", "inception_v3", "rnnlm", "transformer", "densenet",
+        "resnet50", "vgg16", "mobilenet_v1", "gnmt", "mlp",
+        "transformer_stack_8"}) {
+    const Graph g = *models::zoo_graph(name);
+    for (const OrderingKind kind :
+         {OrderingKind::kGenerateSeq, OrderingKind::kBreadthFirst}) {
+      SCOPED_TRACE(std::string(name) +
+                   (kind == OrderingKind::kGenerateSeq ? " gs" : " bfs"));
+      expect_sweep_matches_reference(g, make_ordering(g, kind));
+    }
+  }
+}
+
+TEST(DepSetSweep, MatchesDfsReferenceOnSeededRandomGraphs) {
+  for (u64 seed = 1; seed <= 24; ++seed) {
+    const Graph g = testing::random_graph(6 + static_cast<i64>(seed % 14),
+                                          static_cast<i64>(seed % 9), seed);
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    expect_sweep_matches_reference(g, generate_seq(g));
+    expect_sweep_matches_reference(g, breadth_first(g));
+    expect_sweep_matches_reference(g, testing::make_identity_ordering(g));
+  }
+}
+
+TEST(DepSetSweep, MatchesDfsReferenceOnDisconnectedGraph) {
+  // Three weakly connected components (two random graphs and an isolated
+  // node), the shape pipeline-stage subgraphs can take: one root each.
+  Graph g;
+  auto append = [&](const Graph& part) {
+    const NodeId base = static_cast<NodeId>(g.num_nodes());
+    for (const Node& n : part.nodes()) g.add_node(n);
+    for (const Edge& e : part.edges())
+      g.add_edge(base + e.src, base + e.dst, e.shape, e.src_dims,
+                 e.dst_dims);
+  };
+  append(testing::random_graph(7, 3, 4));
+  g.add_node(ops::fully_connected("isolated", 8, 8, 8));
+  append(testing::random_graph(9, 4, 8));
+  for (const OrderingKind kind :
+       {OrderingKind::kGenerateSeq, OrderingKind::kBreadthFirst}) {
+    const Ordering o = make_ordering(g, kind);
+    expect_sweep_matches_reference(g, o);
+    EXPECT_EQ(dep_sets(g, o).roots.size(), 3u);
+  }
+  expect_sweep_matches_reference(g, testing::make_identity_ordering(g));
+}
+
+TEST(DepSetSweep, Fig2SetsFromTheSweep) {
+  const Graph g = testing::fig2_toy_graph();
+  const DepSets s = dep_sets(g, testing::make_identity_ordering(g));
+  // Paper Fig. 2: D(5) = {v8}, S(5) = {X(2), X(3)} (0-based positions 1, 2).
+  EXPECT_EQ(s.dependent[4], (std::vector<NodeId>{7}));
+  EXPECT_EQ(s.anchors[4], (std::vector<i64>{1, 2}));
+  EXPECT_EQ(s.roots, (std::vector<i64>{8}));
 }
 
 }  // namespace

@@ -417,8 +417,20 @@ TEST(ObsTrace, DpTraceNestsAndCoversPhases) {
   EXPECT_EQ(counts["ordering"], 1);
   EXPECT_EQ(counts["configs"], 1);
   EXPECT_EQ(counts["back_substitution"], 1);
-  EXPECT_EQ(counts["dep_sets"], g.num_nodes());
+  // The vertex sets come from one sweep per solve; each vertex's table_fill
+  // span carries its |D(i)|, matching the solver's own diagnostics.
+  EXPECT_EQ(counts["dep_sets"], 1);
   EXPECT_EQ(counts["table_fill"], g.num_nodes());
+  for (const auto& [tid, events] : by_tid)
+    for (const auto* e : events) {
+      if (e->get("name")->string != "table_fill") continue;
+      const auto* args = e->get("args");
+      ASSERT_NE(args, nullptr);
+      const i64 vertex = static_cast<i64>(args->get("vertex")->number);
+      ASSERT_NE(args->get("dep_set"), nullptr);
+      EXPECT_EQ(static_cast<i64>(args->get("dep_set")->number),
+                r.dependent_set_sizes[static_cast<size_t>(vertex)]);
+    }
 }
 
 // Every zoo model the paper evaluates gets a full DP run with both sinks
@@ -449,7 +461,7 @@ TEST(ObsZoo, EveryPaperBenchmarkEmitsValidTraceAndMetrics) {
          {"ordering", "configs", "dep_sets", "table_fill",
           "back_substitution"})
       EXPECT_GE(counts[phase], 1) << b.name << " missing phase " << phase;
-    EXPECT_EQ(counts["dep_sets"], b.graph.num_nodes()) << b.name;
+    EXPECT_EQ(counts["dep_sets"], 1) << b.name;
     EXPECT_EQ(counts["table_fill"], b.graph.num_nodes()) << b.name;
 
     // The metrics snapshot agrees with the solver's own diagnostics.

@@ -43,6 +43,37 @@ inline Graph random_graph(i64 n, i64 extra_edges, u64 seed) {
   return g;
 }
 
+/// A seeded random repeated-block chain: one block of `period` FC nodes
+/// with random (but per-offset fixed) dims, instantiated `repeats` times;
+/// consecutive blocks wired tail -> head, plus an intra-block skip edge so
+/// blocks are not plain paths. Every copy is a verbatim id-shifted clone of
+/// the first, so its layers and edges share cost classes.
+inline Graph repeated_block_graph(i64 period, i64 repeats, u64 seed) {
+  Rng rng(seed);
+  static const i64 sizes[] = {8, 16, 32, 64};
+  std::vector<i64> width(static_cast<size_t>(period) + 1);
+  for (i64& w : width) w = sizes[rng.uniform(4)];
+  const i64 batch = sizes[rng.uniform(4)];
+  Graph g;
+  NodeId prev = kInvalidNode;
+  for (i64 r = 0; r < repeats; ++r) {
+    NodeId block_head = kInvalidNode;
+    for (i64 j = 0; j < period; ++j) {
+      const NodeId fc = g.add_node(ops::fully_connected(
+          "B" + std::to_string(r) + "_" + std::to_string(j), batch,
+          width[static_cast<size_t>(j) + 1], width[static_cast<size_t>(j)]));
+      if (prev != kInvalidNode)
+        g.add_edge_named(prev, fc, {"b", "n"}, {"b", "c"});
+      if (j == 0) block_head = fc;
+      if (j == period - 1 && period >= 3)
+        g.add_edge_named(block_head, fc, {"b", "n"}, {"b", "c"});
+      prev = fc;
+    }
+  }
+  g.validate();
+  return g;
+}
+
 /// An Ordering with seq = the given node ids (must be a permutation).
 inline Ordering make_identity_ordering(const Graph& g) {
   Ordering o;

@@ -397,14 +397,15 @@ else
   bad "perf gate: bench_serve / bench_gate not built"
 fi
 
-# Search-time scaling gate: bench_table1 (cold vs block-collapsed vs delta
-# re-solve on the transformer_stack family, docs/SCALING.md) from the same
-# non-sanitized build, diffed against BENCH_table1.json. The binary itself
-# enforces the structural claims (bit-identity, >= 10x collapse speedup
-# and sub-second delta at N=1000) and exits non-zero on violation; the
-# gate then bands the absolute search times — min over three runs, with
-# the small metrics additionally min-of-3 trials inside each run. Refresh
-# after an intentional perf change with PASE_UPDATE_BENCH=1 tools/check.sh.
+# Search-time scaling gate: bench_table1 (cold vs delta re-solve on the
+# transformer_stack family, docs/SCALING.md) from the same non-sanitized
+# build, diffed against BENCH_table1.json. The binary itself enforces the
+# structural claims (bit-identity, near-linear cold growth — cold(N=1000)
+# <= 20x cold(N=100) — and sub-second delta at N=1000) and exits non-zero
+# on violation; the gate then bands the absolute search times — min over
+# three runs, with the small metrics additionally min-of-3 trials inside
+# each run. Refresh after an intentional perf change with
+# PASE_UPDATE_BENCH=1 tools/check.sh.
 if [ -f "$BENCH_BUILD/CMakeCache.txt" ]; then
   note "building bench_table1 (-j$JOBS)"
   cmake --build "$BENCH_BUILD" -j "$JOBS" --target bench_table1 \
@@ -433,7 +434,7 @@ if [ -x "$BENCH_TABLE1" ] && [ -x "$BENCH_GATE" ]; then
         || bad "scaling gate: baseline refresh failed"
       note "refreshed BENCH_table1.json (min of 3 runs, PASE_UPDATE_BENCH)"
     elif "$BENCH_GATE" "$ROOT/BENCH_table1.json" "${T1_RUNS[@]}"; then
-      note "ok scaling gate (cold/collapsed/delta search times within 25%)"
+      note "ok scaling gate (cold/delta search times within 25%)"
     else
       bad "scaling gate: search times regressed vs BENCH_table1.json (see \
 table above; PASE_UPDATE_BENCH=1 tools/check.sh to accept a new baseline)"

@@ -7,7 +7,7 @@
 //            [--deadline SECONDS] [--strict] [--beam-width N]
 //            [--threads N] [--no-cost-cache] [--comm-model MODE]
 //            [--max-model-nodes N]
-//            [--zoo NAME] [--collapse-blocks] [--reuse-tables]
+//            [--zoo NAME] [--reuse-tables]
 //            [--split-dims LIST] [--pipeline-stages N|auto]
 //            [--faults SPEC] [--fault-aware] [--robustness N] [--seed S]
 //
@@ -19,13 +19,10 @@
 // (or the best count with "auto"), each stage re-parallelized by the DP on
 // its share of the devices; 1 (the default) disables pipelining bitwise.
 //
-// Scaling options (docs/SCALING.md): --collapse-blocks detects repeated
-// structurally-identical blocks (e.g. a GPT stack's layers), solves one
-// representative and stitches — bit-identical to the uncollapsed solve,
-// orders of magnitude faster on thousand-layer stacks; --reuse-tables
-// keeps solver state so the --faults degraded re-solve becomes a delta
-// re-solve (ordering and vertex sets reused); --zoo NAME solves a built-in
-// zoo model (e.g. transformer_stack_1000) instead of a model file.
+// Scaling options (docs/SCALING.md): --reuse-tables keeps solver state so
+// the --faults degraded re-solve becomes a delta re-solve (ordering and
+// vertex sets reused); --zoo NAME solves a built-in zoo model (e.g.
+// transformer_stack_1000) instead of a model file.
 //
 // Search engine options: --threads N fans the DP's per-vertex cost
 // evaluations across N worker threads (0 = hardware concurrency, the
@@ -81,7 +78,6 @@
 #include <optional>
 #include <sstream>
 
-#include "core/block_collapse.h"
 #include "core/dp_solver.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -120,7 +116,7 @@ void print_usage(std::FILE* out, const char* argv0) {
       "          [--comm-model simple|auto|ring|tree|hd|hier]\n"
       "          [--max-table-entries N] [--max-combinations N]\n"
       "          [--max-model-nodes N]\n"
-      "          [--zoo NAME] [--collapse-blocks] [--reuse-tables]\n"
+      "          [--zoo NAME] [--reuse-tables]\n"
       "          [--split-dims LIST] [--pipeline-stages N|auto]\n"
       "          [--microbatches N]\n"
       "          [--faults SPEC] [--fault-aware] [--robustness N] [--seed "
@@ -138,11 +134,8 @@ void print_usage(std::FILE* out, const char* argv0) {
       "            default, disables pipelining bitwise); N must divide the\n"
       "            device count; --microbatches N sets the micro-batches in\n"
       "            flight for the pipeline fill/drain model (default 8)\n"
-      "scaling:    --collapse-blocks solves one representative of each\n"
-      "            maximal run of repeated structurally-identical blocks\n"
-      "            and stitches (bit-identical to the uncollapsed solve;\n"
-      "            docs/SCALING.md); --reuse-tables keeps solver state so\n"
-      "            the --faults degraded re-solve is a delta re-solve;\n"
+      "scaling:    --reuse-tables keeps solver state so the --faults\n"
+      "            degraded re-solve is a delta re-solve (docs/SCALING.md);\n"
       "            --zoo NAME solves a built-in zoo model (alexnet, mlp,\n"
       "            transformer, transformer_stack_<N>, ...) instead of a\n"
       "            model file\n"
@@ -242,7 +235,6 @@ int main(int argc, char** argv) {
   i64 max_combinations = 0;
   i64 max_model_nodes = 0;  // 0 = unlimited
   const char* zoo_name = nullptr;
-  bool collapse_blocks = false;
   bool reuse_tables = false;
   SplitDims split_dims;
   bool split_dims_given = false;
@@ -361,8 +353,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--microbatches") == 0) {
       if (!value(&v) || !parse_i64_flag(arg, v, 1, &pipeline_microbatches))
         return kExitUsage;
-    } else if (std::strcmp(arg, "--collapse-blocks") == 0) {
-      collapse_blocks = true;
     } else if (std::strcmp(arg, "--reuse-tables") == 0) {
       reuse_tables = true;
     } else if (std::strcmp(arg, "--faults") == 0) {
@@ -512,7 +502,6 @@ int main(int argc, char** argv) {
   }
 
   DpOptions options;
-  options.collapse_blocks = collapse_blocks;
   // A shared context makes the --faults degraded re-solve a delta re-solve:
   // the main solve stores its ordering/vertex sets, the re-solve reuses
   // them (the degraded machine changes costs, not graph adjacency).
@@ -641,18 +630,6 @@ int main(int argc, char** argv) {
                             static_cast<double>(cache_total)
                       : 0.0);
     std::printf("\n");
-  }
-  if (collapse_blocks) {
-    if (r.collapse_fired)
-      std::printf("block collapse: period %lld x %lld blocks (ordering %s)\n",
-                  static_cast<long long>(r.collapse_period),
-                  static_cast<long long>(r.collapse_blocks),
-                  r.collapse_ordering_extrapolated ? "extrapolated"
-                                                   : "certified full");
-    else
-      std::printf("block collapse: not fired (no repeated run of %lld+ "
-                  "structurally identical blocks)\n",
-                  static_cast<long long>(kMinCollapseBlocks));
   }
   std::printf("comm model: %s", comm_model_kind_name(comm_kind));
   if (comm_kind == CommModelKind::kAuto)
