@@ -124,7 +124,8 @@ int main(int argc, char** argv) {
   std::printf("\nPhase breakdown (Ours-%lldt, summed over p):\n",
               static_cast<long long>(threads));
   static constexpr const char* kPhases[] = {
-      "ordering", "configs", "dep_sets", "table_fill", "back_substitution"};
+      "ordering",        "configs",    "dep_sets",
+      "cost_precompute", "table_fill", "back_substitution"};
   for (size_t bi = 0; bi < benchmarks.size(); ++bi) {
     const MetricsRegistry& reg = metrics[bi];
     std::printf("  %-14s", benchmarks[bi].name.c_str());
@@ -137,7 +138,7 @@ int main(int argc, char** argv) {
     }
     const u64 hits = reg.counter("dp.cost_cache.hits");
     const u64 misses = reg.counter("dp.cost_cache.misses");
-    std::printf("  (substrategies %llu, cache hit rate %.0f%%)\n",
+    std::printf("  (substrategies %llu, cost entries memo-served %.0f%%)\n",
                 static_cast<unsigned long long>(
                     reg.counter("dp.substrategies")),
                 hits + misses

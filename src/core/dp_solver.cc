@@ -5,10 +5,9 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 
 #include "core/dep_sets.h"
-#include "cost/cost_cache.h"
+#include "cost/cost_classes.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -222,22 +221,6 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   TraceSession* const trace = options.trace;
   MetricsRegistry* const metrics = options.metrics;
 
-  // Per-solve cache by default; a caller-owned shared cache (the serving
-  // daemon keeps one warm per graph signature) survives across solves, so
-  // its counters are reported as this solve's delta. Under concurrent
-  // solves sharing one cache the delta is approximate (other requests bump
-  // the same counters) — diagnostics only, never results.
-  std::optional<CostCache> own_cost_cache;
-  CostCache* cost_cache = nullptr;
-  if (options.use_cost_cache) {
-    if (options.shared_cost_cache) {
-      cost_cache = options.shared_cost_cache;
-    } else {
-      own_cost_cache.emplace(graph);
-      cost_cache = &*own_cost_cache;
-    }
-  }
-
   // The adjacency-pure phases (ordering, vertex sets, roots) come from the
   // context when it matches this graph; otherwise they are computed into a
   // fresh snapshot that the context receives after a successful solve.
@@ -270,14 +253,12 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     configs_storage.emplace(graph, options.config_options);
   }
   const ConfigCache& configs = *configs_storage;
-  const u64 hits0 = cost_cache ? cost_cache->hits() : 0;
-  const u64 misses0 = cost_cache ? cost_cache->misses() : 0;
-  CostModel cost(graph, options.cost_params);
-  if (cost_cache) cost.attach_cache(cost_cache);
+  CostTables tables(graph, configs, options.cost_params,
+                    options.use_cost_cache);
+  CostModel cost(graph, options.cost_params);  // the beam fallback's pricing
   auto record_cache_stats = [&] {
-    if (!cost_cache) return;
-    result.cost_cache_hits = cost_cache->hits() - hits0;
-    result.cost_cache_misses = cost_cache->misses() - misses0;
+    result.cost_cache_hits = tables.served();
+    result.cost_cache_misses = tables.priced();
   };
   // Final metrics flush, shared by every exit path. Counters/histograms
   // recorded here are structural — pure functions of (graph, options minus
@@ -381,28 +362,6 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   // the external token is observed set.
   std::atomic<bool> cancel{false};
 
-  // Per-class cost memoization, on whenever a cost cache is: same-class
-  // vertices share their t_l vector and t_x matrices, so a repeated layer
-  // costs one lookup instead of |C(v)| (x |C(w)|) cache probes. Exactness:
-  // a CostCache class groups nodes (edges) whose every cost-model input is
-  // byte-identical, so equal class implies equal cost for equal
-  // configurations; equality of the actual configuration LISTS is verified
-  // at lookup (never assumed — a ConfigOptions filter could in principle
-  // admit different lists for same-class nodes, in which case the memo
-  // simply misses). Fills happen on the calling thread before the parallel
-  // fan-out, preserving the bit-identical-at-any-thread-count contract.
-  struct ClassNodeCosts {
-    NodeId rep = kInvalidNode;
-    std::shared_ptr<const std::vector<double>> costs;
-  };
-  std::unordered_map<u32, ClassNodeCosts> class_node_costs;
-  struct ClassEdgeCosts {
-    NodeId rep_vi = kInvalidNode;
-    NodeId rep_other = kInvalidNode;
-    std::shared_ptr<const std::vector<double>> matrix;
-  };
-  std::unordered_map<u64, ClassEdgeCosts> class_edge_costs;
-
   for (i64 i = 0; i < n; ++i) {
     if (const auto cause = abort_cause(); cause != DpResult::TripCause::kNone)
       return degrade_or_fail(
@@ -422,11 +381,6 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     if (metrics)
       metrics->record("dp.dep_set_size",
                       static_cast<i64>(st.dependent.size()));
-
-    PhaseScope fill_phase(trace, metrics, "table_fill",
-                          "dp.phase.table_fill_seconds");
-    fill_phase.arg("vertex", i);
-    fill_phase.arg("dep_set", static_cast<i64>(st.dependent.size()));
 
     // Guard against combinatorial blow-up (paper Table I "OOM" outcome).
     double combos = 1.0;
@@ -448,6 +402,43 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     result.max_combinations_analyzed = std::max(
         result.max_combinations_analyzed, static_cast<u64>(work));
 
+    // H's cost terms: t_l(v^(i), C) for every C, and the full
+    // |C(v^(i))| x |C(w)| r * t_x matrix of every later edge (every later
+    // neighbor w is in D(i)). One matrix can take milliseconds at large K,
+    // so the abort check runs before each.
+    CostTables::Table node_costs_ptr;
+    struct LaterEdge {
+      NodeId other;
+      CostTables::Table cost_matrix;  ///< [ci * |C(w)| + cw]
+    };
+    std::vector<LaterEdge> later_edges;
+    {
+      PhaseScope precompute_phase(trace, metrics, "cost_precompute",
+                                  "dp.phase.cost_precompute_seconds");
+      precompute_phase.arg("vertex", i);
+      node_costs_ptr = tables.node(vi);
+      for (EdgeId eid : graph.incident_edges(vi)) {
+        const Edge& e = graph.edge(eid);
+        const NodeId w = e.src == vi ? e.dst : e.src;
+        if (order.pos[static_cast<size_t>(w)] <= i) continue;
+        PASE_CHECK(std::binary_search(st.dependent.begin(),
+                                      st.dependent.end(), w));
+        if (const auto cause = abort_cause();
+            cause != DpResult::TripCause::kNone)
+          return degrade_or_fail(
+              abort_message(cause, "precomputing costs for vertex " +
+                                       std::to_string(i)),
+              cause);
+        later_edges.push_back({w, tables.edge(eid, vi)});
+      }
+    }
+    const std::vector<double>& node_costs = *node_costs_ptr;
+
+    PhaseScope fill_phase(trace, metrics, "table_fill",
+                          "dp.phase.table_fill_seconds");
+    fill_phase.arg("vertex", i);
+    fill_phase.arg("dep_set", static_cast<i64>(st.dependent.size()));
+
     st.radix.resize(st.dependent.size());
     st.stride.resize(st.dependent.size());
     u64 prod = 1;
@@ -465,101 +456,6 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
       metrics->add_counter("dp.substrategies", prod);
       metrics->add_counter("dp.combinations", static_cast<u64>(work));
       metrics->record("dp.substrategies_per_vertex", static_cast<i64>(prod));
-    }
-
-    // The t_l / t_x precompute loops below can dominate wall time on a
-    // single-large-vertex model — they make |C(v^(i))| + sum_w |C(v^(i))| x
-    // |C(w)| cost-model calls before the table fill ever starts — so they
-    // carry their own amortized abort check (every 256 cost calls; a
-    // steady_clock read amortized over 256 cost evaluations is noise).
-    u64 precompute_tick = 0;
-    auto precompute_cause = [&]() -> DpResult::TripCause {
-      if ((++precompute_tick & 255u) != 0) return DpResult::TripCause::kNone;
-      return abort_cause();
-    };
-
-    // Precompute t_l(v^(i), C) for every C in C(v^(i)) — shared across
-    // same-class vertices.
-    std::shared_ptr<const std::vector<double>> node_costs_ptr;
-    if (cost_cache) {
-      const auto it = class_node_costs.find(cost_cache->node_class(vi));
-      if (it != class_node_costs.end() &&
-          configs.at(it->second.rep) == vi_configs) {
-        node_costs_ptr = it->second.costs;
-        if (metrics) metrics->add_counter("dp.cost_memo.node_hits", 1);
-      }
-    }
-    if (!node_costs_ptr) {
-      auto computed =
-          std::make_shared<std::vector<double>>(vi_configs.size());
-      for (size_t c = 0; c < vi_configs.size(); ++c) {
-        if (const auto cause = precompute_cause();
-            cause != DpResult::TripCause::kNone)
-          return degrade_or_fail(
-              abort_message(cause, "precomputing costs for vertex " +
-                                       std::to_string(i)),
-              cause);
-        (*computed)[c] = cost.node_cost(vi, vi_configs[c]);
-      }
-      node_costs_ptr = std::move(computed);
-      if (cost_cache)
-        class_node_costs[cost_cache->node_class(vi)] = {vi, node_costs_ptr};
-    }
-    const std::vector<double>& node_costs = *node_costs_ptr;
-
-    // Later edges of v^(i) (the H function's transfer terms) with their full
-    // |C(v^(i))| x |C(w)| cost matrices; every later neighbor w is in D(i).
-    // A matrix is shared across edges of the same structural class and
-    // orientation once both endpoint configuration lists are verified equal
-    // to the representative's.
-    struct LaterEdge {
-      NodeId other;
-      std::shared_ptr<const std::vector<double>>
-          cost_matrix;  ///< [ci * |C(w)| + cw]
-    };
-    std::vector<LaterEdge> later_edges;
-    for (EdgeId eid : graph.incident_edges(vi)) {
-      const Edge& e = graph.edge(eid);
-      const NodeId w = e.src == vi ? e.dst : e.src;
-      if (order.pos[static_cast<size_t>(w)] <= i) continue;
-      PASE_CHECK(std::binary_search(st.dependent.begin(), st.dependent.end(),
-                                    w));
-      LaterEdge le;
-      le.other = w;
-      const auto& w_configs = configs.at(w);
-      const u64 memo_key =
-          (static_cast<u64>(cost_cache ? cost_cache->edge_class(e.id) : 0)
-           << 1) |
-          (e.src == vi ? 1u : 0u);
-      if (cost_cache) {
-        const auto it = class_edge_costs.find(memo_key);
-        if (it != class_edge_costs.end() &&
-            configs.at(it->second.rep_vi) == vi_configs &&
-            configs.at(it->second.rep_other) == w_configs) {
-          le.cost_matrix = it->second.matrix;
-          if (metrics) metrics->add_counter("dp.cost_memo.edge_hits", 1);
-        }
-      }
-      if (!le.cost_matrix) {
-        auto matrix = std::make_shared<std::vector<double>>(
-            vi_configs.size() * w_configs.size());
-        for (size_t ci = 0; ci < vi_configs.size(); ++ci)
-          for (size_t cw = 0; cw < w_configs.size(); ++cw) {
-            if (const auto cause = precompute_cause();
-                cause != DpResult::TripCause::kNone)
-              return degrade_or_fail(
-                  abort_message(cause, "precomputing costs for vertex " +
-                                           std::to_string(i)),
-                  cause);
-            const Config& src = e.src == vi ? vi_configs[ci] : w_configs[cw];
-            const Config& dst = e.src == vi ? w_configs[cw] : vi_configs[ci];
-            (*matrix)[ci * w_configs.size() + cw] =
-                cost.edge_cost(e, src, dst);
-          }
-        le.cost_matrix = std::move(matrix);
-        if (cost_cache) class_edge_costs[memo_key] = {vi, w, le.cost_matrix};
-      }
-      later_edges.push_back(std::move(le));
     }
 
     // Anchors whose D(j) contains v^(i) must be re-looked-up per C; the rest

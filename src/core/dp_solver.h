@@ -29,9 +29,9 @@
 // less-than, exactly as the sequential loop does. Consequently the returned
 // strategy, cost, status and diagnostics are BIT-IDENTICAL at every thread
 // count (verified by tests/determinism_test.cc); only elapsed_seconds
-// varies. The cost-model memoization cache (DpOptions::use_cost_cache) is
-// likewise invisible in the results: cost functions are pure, so cache hits
-// return the same bits a recomputation would.
+// varies. The per-class cost memo (DpOptions::use_cost_cache) is likewise
+// invisible in the results: cost functions are pure, so a shared table holds
+// the same bits a direct pricing would.
 //
 // find_best_strategy() itself is a pure function of (graph, options) plus
 // wall-clock effects (deadline): concurrent calls from different threads
@@ -112,7 +112,7 @@ struct DpOptions {
 
   /// Wall-clock budget for the exact DP; 0 = unlimited. Expiry is treated
   /// like a tripped guard (fallback or kOutOfMemory). Checked between
-  /// vertices, inside the precompute loops, and (amortized, every few
+  /// vertices, before each t_x matrix is priced, and (amortized, every few
   /// thousand combinations) inside the table-fill inner loop, so even a
   /// single-large-vertex model honors a tight budget promptly.
   double deadline_seconds = 0.0;
@@ -137,22 +137,11 @@ struct DpOptions {
   /// Results are bit-identical at any setting (see file comment).
   i64 num_threads = 1;
 
-  /// Memoize t_l/t_x across structurally identical layers and edges (see
-  /// cost/cost_cache.h), and share whole per-class cost vectors/matrices
-  /// between same-class vertices and edges within a solve. Never changes
-  /// results; pase_cli --no-cost-cache disables both for ablation.
+  /// The per-class cost memo: share whole t_l vectors and t_x matrices
+  /// between structurally identical vertices and edges within a solve (see
+  /// cost/cost_classes.h). Never changes results; pase_cli --no-cost-cache
+  /// turns it off for ablation, and every table is then priced directly.
   bool use_cost_cache = true;
-  /// Optional caller-owned cost cache shared across solves (the serving
-  /// daemon keeps one warm per (graph signature, cost params) pair so a hot
-  /// re-query skips every t_l/t_x recomputation). When non-null (and
-  /// use_cost_cache is true) the solver uses it instead of constructing a
-  /// fresh per-solve cache; DpResult hit/miss stats then report this
-  /// solve's *delta* only. Contract: the cache must have been built against
-  /// a graph structurally identical to `graph` (same nodes/edges in the
-  /// same order) under identical CostParams — see cost/cost_cache.h. The
-  /// cache is thread-safe; it never changes results (cost functions are
-  /// pure). Must outlive the call.
-  CostCache* shared_cost_cache = nullptr;
 
   /// Optional cross-solve context for delta re-solves (see DpContext). When
   /// non-null and its snapshot matches this graph's adjacency + ordering
@@ -163,7 +152,8 @@ struct DpOptions {
 
   /// Optional observability sinks (src/obs); either or both may be null.
   /// `trace` records phase and per-vertex spans (ordering, dep_sets,
-  /// table_fill, back_substitution, worker task spans); `metrics` collects
+  /// configs, cost_precompute, table_fill, back_substitution, worker task
+  /// spans); `metrics` collects
   /// dp.* counters/histograms/gauges. Attaching them never changes results,
   /// and every structural metric recorded is bit-identical across thread
   /// counts (see src/obs/metrics.h and DESIGN.md §9). Both must outlive the
@@ -206,7 +196,11 @@ struct DpResult {
 
   /// Worker threads actually used (DpOptions::num_threads resolved).
   i64 threads_used = 1;
-  /// Cost-cache statistics (both zero when the cache is disabled).
+  /// Cost entries (one t_l value or one r * t_x matrix cell) the solve
+  /// read: served by the per-class memo from a table priced for an earlier
+  /// same-class vertex or edge, and priced by a direct cost call. Both are
+  /// pure functions of (graph, options minus num_threads); on a completed
+  /// solve they sum to sum_v |C(v)| + sum_(u,w) |C(u)| x |C(w)|.
   u64 cost_cache_hits = 0;
   u64 cost_cache_misses = 0;
 

@@ -17,7 +17,7 @@ bool strategy_valid(const Graph& graph, const Strategy& phi,
     for (i64 d = 0; d < c.rank(); ++d) {
       const i64 f = c[d];
       if (f < 1) return false;
-      if (f > 1 && !node.space.dim(d).splittable) return false;
+      if (f > 1 && !dim_splittable(node, d, opts.split_dims)) return false;
       if (opts.powers_of_two_only && !is_pow2(f)) return false;
       if (opts.cap_by_extent && f > node.space.dim(d).size) return false;
       degree *= f;

@@ -10,8 +10,8 @@
 namespace pase {
 
 /// True iff `phi` assigns every node a configuration that is valid under
-/// `opts` (rank matches the iteration space, power-of-two/extent/splittable
-/// rules respected, degree <= p).
+/// `opts` (rank matches the iteration space, power-of-two/extent rules and
+/// the opts.split_dims gates respected, degree <= p).
 bool strategy_valid(const Graph& graph, const Strategy& phi,
                     const ConfigOptions& opts);
 

@@ -1,4 +1,4 @@
-#include "cost/cost_cache.h"
+#include "cost/cost_classes.h"
 
 #include <map>
 
@@ -51,7 +51,7 @@ std::vector<double> edge_signature(const Edge& e) {
 
 }  // namespace
 
-CostCache::CostCache(const Graph& graph) {
+CostClasses::CostClasses(const Graph& graph) {
   std::map<std::vector<double>, u32> node_ids;
   node_class_.reserve(static_cast<size_t>(graph.num_nodes()));
   for (const Node& n : graph.nodes()) {
@@ -73,48 +73,62 @@ CostCache::CostCache(const Graph& graph) {
   num_edge_classes_ = static_cast<i64>(edge_ids.size());
 }
 
-bool CostCache::lookup_node(NodeId v, const Config& c, double* out) const {
-  const NodeKey key{node_class(v), c};
-  const NodeShard& shard = node_shards_[shard_of(NodeKeyHash{}(key))];
-  std::lock_guard<std::mutex> lk(shard.mu);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+CostTables::CostTables(const Graph& graph, const ConfigCache& configs,
+                       const CostParams& params, bool share)
+    : graph_(graph), configs_(configs), params_(params) {
+  if (!share) return;
+  classes_.emplace(graph);
+  node_memo_.resize(static_cast<size_t>(classes_->num_node_classes()));
+  edge_memo_.resize(static_cast<size_t>(2 * classes_->num_edge_classes()));
+}
+
+CostTables::Table CostTables::node(NodeId v) {
+  const auto& v_configs = configs_.at(v);
+  Memo* memo = nullptr;
+  if (classes_) {
+    memo = &node_memo_[classes_->node_class(v)];
+    if (memo->table && configs_.at(memo->rows) == v_configs) {
+      served_ += memo->table->size();
+      return memo->table;
+    }
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  *out = it->second;
-  return true;
+  auto costs = std::make_shared<std::vector<double>>(v_configs.size());
+  const Node& node = graph_.node(v);
+  for (size_t c = 0; c < v_configs.size(); ++c)
+    (*costs)[c] = layer_cost(node, v_configs[c], params_);
+  priced_ += costs->size();
+  if (memo) *memo = {v, kInvalidNode, costs};
+  return costs;
 }
 
-void CostCache::store_node(NodeId v, const Config& c, double cost) {
-  const NodeKey key{node_class(v), c};
-  NodeShard& shard = node_shards_[shard_of(NodeKeyHash{}(key))];
-  std::lock_guard<std::mutex> lk(shard.mu);
-  shard.map.emplace(key, cost);
-}
-
-bool CostCache::lookup_edge(EdgeId e, const Config& src, const Config& dst,
-                            double* out) const {
-  const EdgeKey key{edge_class(e), src, dst};
-  const EdgeShard& shard = edge_shards_[shard_of(EdgeKeyHash{}(key))];
-  std::lock_guard<std::mutex> lk(shard.mu);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+CostTables::Table CostTables::edge(EdgeId e, NodeId from) {
+  const Edge& edge = graph_.edge(e);
+  const bool forward = edge.src == from;
+  const NodeId to = forward ? edge.dst : edge.src;
+  const auto& rows = configs_.at(from);
+  const auto& cols = configs_.at(to);
+  Memo* memo = nullptr;
+  if (classes_) {
+    memo = &edge_memo_[2 * static_cast<size_t>(classes_->edge_class(e)) +
+                       (forward ? 1 : 0)];
+    if (memo->table && configs_.at(memo->rows) == rows &&
+        configs_.at(memo->cols) == cols) {
+      served_ += memo->table->size();
+      return memo->table;
+    }
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  *out = it->second;
-  return true;
-}
-
-void CostCache::store_edge(EdgeId e, const Config& src, const Config& dst,
-                           double cost) {
-  const EdgeKey key{edge_class(e), src, dst};
-  EdgeShard& shard = edge_shards_[shard_of(EdgeKeyHash{}(key))];
-  std::lock_guard<std::mutex> lk(shard.mu);
-  shard.map.emplace(key, cost);
+  auto costs = std::make_shared<std::vector<double>>(rows.size() * cols.size());
+  for (size_t r = 0; r < rows.size(); ++r)
+    for (size_t c = 0; c < cols.size(); ++c) {
+      const Config& src = forward ? rows[r] : cols[c];
+      const Config& dst = forward ? cols[c] : rows[r];
+      (*costs)[r * cols.size() + c] =
+          edge_flop_byte_ratio(params_, src, dst) *
+          transfer_bytes(edge, src, dst, params_);
+    }
+  priced_ += costs->size();
+  if (memo) *memo = {from, to, costs};
+  return costs;
 }
 
 }  // namespace pase

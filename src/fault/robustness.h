@@ -70,7 +70,7 @@ RobustnessReport evaluate_robustness(const Graph& graph,
 /// evaluate_robustness plus a degraded-machine re-solve: re-runs the DP
 /// with `solve_options` against model.perturb(healthy) — cost params are
 /// overridden to the degraded machine; everything else (ordering, guards,
-/// cost cache, threads) is taken from `solve_options` as-is — and
+/// cost memo, threads) is taken from `solve_options` as-is — and
 /// simulates the adapted strategy on the degraded machine. Pass the
 /// `context` used for the healthy solve (may be null) to make this a delta
 /// re-solve: the degraded cluster has the same graph adjacency, so the

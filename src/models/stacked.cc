@@ -3,7 +3,7 @@
 // -> residual add — repeated N times between an embedding head and a
 // LayerNorm + vocabulary-projection + softmax tail. Every block is
 // byte-for-byte structurally identical (same extents, same edge wiring
-// offsets), so every block's layers and edges fall into the same CostCache
+// offsets), so every block's layers and edges fall into the same CostClasses
 // classes and the DP solver prices one block's costs for the whole stack.
 // N is capped only by memory; the thousand-layer configurations in
 // docs/SCALING.md use this family.

@@ -23,8 +23,8 @@
 //    grace (e.g. an injected worker stall) via the solver's cancellation
 //    token; a killed solve answers `error`.
 //  * Warm state: a (graph signature, machine, p, ...) -> result LRU, a
-//    shared CostCache per graph/machine pair, and a CommModel memo
-//    survive across requests. Cached results are verified on every hit
+//    CommModel memo and a DpContext per adjacency survive across
+//    requests. Cached results are verified on every hit
 //    (see result_cache.h) and only timing-independent results are stored,
 //    so a cache hit is byte-identical to a fresh solve.
 //
@@ -68,7 +68,6 @@
 #include "util/thread_pool.h"
 
 namespace pase {
-class CostCache;
 class CommModel;
 class DpContext;
 }  // namespace pase
@@ -243,8 +242,6 @@ class ServeCore {
                          std::chrono::steady_clock::time_point submitted,
                          double deadline_ms, const InjectDraw& draw,
                          TraceSession* trace, u64 seq);
-  std::shared_ptr<CostCache> cost_cache_for(const ResultKey& key,
-                                            const Graph& graph);
   std::shared_ptr<const CommModel> comm_model_for(const ServeRequest& request);
   /// Warm DpContext keyed by graph *adjacency* (not the full structural
   /// signature — extent mutations must land on the same context for delta
@@ -272,7 +269,6 @@ class ServeCore {
   RollingHistogram roll_solve_;
 
   std::mutex caches_mu_;
-  std::unordered_map<u64, std::shared_ptr<CostCache>> cost_caches_;
   std::unordered_map<u64, std::shared_ptr<const CommModel>> comm_models_;
   std::unordered_map<u64, std::shared_ptr<DpContext>> dp_contexts_;
 

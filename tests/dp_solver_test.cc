@@ -291,13 +291,15 @@ TEST(DpSolver, DeadlineWithoutFallbackFailsWithReason) {
 }
 
 TEST(DpSolver, DeadlineHonoredInsideSingleLargeVertex) {
-  // Granularity regression: with the guards lifted, InceptionV3 at p = 64
-  // spends its time *inside* individual vertices (large substrategy tables
-  // x large config sets), so a solver that only checked the deadline
-  // between vertices would overrun a tight budget by orders of magnitude.
-  // The amortized in-loop checks must trip it promptly mid-vertex.
-  const Graph g = models::inception_v3();
+  // Granularity regression: with the guards lifted, resnet_large_p with
+  // every split dim open at p = 64 (K = 1155) spends its time *inside*
+  // individual vertices (1155^2-entry substrategy tables x 1155 configs),
+  // so a solver that only checked the deadline between vertices would
+  // overrun a tight budget by orders of magnitude. The amortized in-loop
+  // checks must trip it promptly mid-vertex.
+  const Graph g = *models::zoo_graph("resnet_large_p");
   auto opt = options_for(64);
+  opt.config_options.split_dims = *parse_split_dims("all");
   opt.max_table_entries = u64{1} << 40;  // don't let the guards fire first
   opt.max_combinations = u64{1} << 50;
   opt.deadline_seconds = 0.05;
@@ -307,7 +309,12 @@ TEST(DpSolver, DeadlineHonoredInsideSingleLargeVertex) {
   ASSERT_EQ(r.status, DpStatus::kDegraded) << r.guard_reason;
   EXPECT_EQ(r.trip_cause, DpResult::TripCause::kDeadline);
   EXPECT_NE(r.guard_reason.find("deadline"), std::string::npos);
-  // "Promptly": the full solve takes minutes; the in-loop checks bound the
+  // The trip names the vertex it interrupted ("... of vertex i" while
+  // filling, "... for vertex i" while pricing), not a vertex boundary.
+  EXPECT_TRUE(r.guard_reason.find("of vertex ") != std::string::npos ||
+              r.guard_reason.find("for vertex ") != std::string::npos)
+      << r.guard_reason;
+  // "Promptly": the full solve takes seconds; the in-loop checks bound the
   // overrun to a few thousand combinations plus the beam fallback.
   EXPECT_LT(r.elapsed_seconds, 10.0);
   EXPECT_TRUE(strategy_valid(g, r.strategy, opt.config_options));

@@ -417,9 +417,11 @@ TEST(ObsTrace, DpTraceNestsAndCoversPhases) {
   EXPECT_EQ(counts["ordering"], 1);
   EXPECT_EQ(counts["configs"], 1);
   EXPECT_EQ(counts["back_substitution"], 1);
-  // The vertex sets come from one sweep per solve; each vertex's table_fill
-  // span carries its |D(i)|, matching the solver's own diagnostics.
+  // The vertex sets come from one sweep per solve; each vertex gets a
+  // cost_precompute span and then a table_fill span carrying its |D(i)|,
+  // matching the solver's own diagnostics.
   EXPECT_EQ(counts["dep_sets"], 1);
+  EXPECT_EQ(counts["cost_precompute"], g.num_nodes());
   EXPECT_EQ(counts["table_fill"], g.num_nodes());
   for (const auto& [tid, events] : by_tid)
     for (const auto* e : events) {
@@ -457,12 +459,20 @@ TEST(ObsZoo, EveryPaperBenchmarkEmitsValidTraceAndMetrics) {
     std::map<std::string, i64> counts;
     for (const auto& [tid, events] : by_tid)
       for (const auto* e : events) ++counts[e->get("name")->string];
+    double phase_seconds = 0.0;
     for (const char* phase :
-         {"ordering", "configs", "dep_sets", "table_fill",
-          "back_substitution"})
+         {"ordering", "configs", "dep_sets", "cost_precompute", "table_fill",
+          "back_substitution"}) {
       EXPECT_GE(counts[phase], 1) << b.name << " missing phase " << phase;
+      phase_seconds +=
+          reg.gauge(std::string("dp.phase.") + phase + "_seconds");
+    }
     EXPECT_EQ(counts["dep_sets"], 1) << b.name;
+    EXPECT_EQ(counts["cost_precompute"], b.graph.num_nodes()) << b.name;
     EXPECT_EQ(counts["table_fill"], b.graph.num_nodes()) << b.name;
+    // The phases are disjoint and run inside the solve's own timer.
+    EXPECT_LE(phase_seconds, reg.gauge("dp.elapsed_seconds") * 1.01 + 1e-4)
+        << b.name;
 
     // The metrics snapshot agrees with the solver's own diagnostics.
     EXPECT_EQ(reg.counter("dp.status.ok"), 1u) << b.name;

@@ -7,8 +7,8 @@
 #include <string>
 
 #include "core/dp_solver.h"
+#include "cost/cost_classes.h"
 #include "models/models.h"
-#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace pase {
@@ -21,8 +21,8 @@ DpOptions options_for(i64 p) {
   return opt;
 }
 
-/// The plain solve with every cost memoization off: no cost cache, hence
-/// no per-class memo either.
+/// The plain solve with the per-class cost memo off: every cost table is
+/// priced directly.
 DpOptions unmemoized(i64 p) {
   DpOptions opt = options_for(p);
   opt.use_cost_cache = false;
@@ -37,24 +37,16 @@ void expect_same_result(const DpResult& a, const DpResult& b) {
   EXPECT_EQ(a.strategy, b.strategy);
 }
 
-u64 memo_hits(const MetricsRegistry& reg) {
-  return reg.counter("dp.cost_memo.node_hits") +
-         reg.counter("dp.cost_memo.edge_hits");
-}
-
 // ---------------------------------------------------------------------------
 // Per-class cost memo: memoized == unmemoized, bit for bit
 
 TEST(CostMemo, SolveBitIdenticalOnTransformerStack) {
   const Graph g = models::transformer_stack(16);
-  MetricsRegistry reg;
-  DpOptions memoized = options_for(4);
-  memoized.metrics = &reg;
-  const DpResult fast = find_best_strategy(g, memoized);
+  const DpResult fast = find_best_strategy(g, options_for(4));
   ASSERT_EQ(fast.status, DpStatus::kOk);
-  // Fifteen repeats of one block: the memo must actually serve them.
-  EXPECT_GT(reg.counter("dp.cost_memo.node_hits"), 0u);
-  EXPECT_GT(reg.counter("dp.cost_memo.edge_hits"), 0u);
+  // Fifteen repeats of one block: the memo must actually serve them, and
+  // serve more entries than it prices.
+  EXPECT_GT(fast.cost_cache_hits, fast.cost_cache_misses);
   expect_same_result(find_best_strategy(g, unmemoized(4)), fast);
 }
 
@@ -73,22 +65,18 @@ TEST(CostMemo, SolveUnchangedOnIrregularGraphs) {
   for (const char* name : {"alexnet", "mlp"}) {
     const Graph g = *models::zoo_graph(name);
     SCOPED_TRACE(name);
-    MetricsRegistry reg;
-    DpOptions memoized = options_for(4);
-    memoized.metrics = &reg;
-    const DpResult fast = find_best_strategy(g, memoized);
-    EXPECT_EQ(reg.counter("dp.cost_memo.node_hits"), 0u);
+    EXPECT_EQ(CostClasses(g).num_node_classes(), g.num_nodes());
+    const DpResult fast = find_best_strategy(g, options_for(4));
     expect_same_result(find_best_strategy(g, unmemoized(4)), fast);
   }
 }
 
 TEST(CostMemo, NoCostCacheDisablesTheMemo) {
   const Graph g = models::transformer_stack(8);
-  MetricsRegistry reg;
-  DpOptions opt = unmemoized(4);
-  opt.metrics = &reg;
-  ASSERT_EQ(find_best_strategy(g, opt).status, DpStatus::kOk);
-  EXPECT_EQ(memo_hits(reg), 0u);
+  const DpResult r = find_best_strategy(g, unmemoized(4));
+  ASSERT_EQ(r.status, DpStatus::kOk);
+  EXPECT_EQ(r.cost_cache_hits, 0u);
+  EXPECT_GT(r.cost_cache_misses, 0u);
 }
 
 /// The memo's proof-by-test across the whole zoo. "Golden" in the name
@@ -110,20 +98,16 @@ TEST(CostMemoGolden, SolveBitIdenticalAcrossZoo) {
 TEST(CostMemo, DeterministicAcrossThreadCounts) {
   const Graph g = models::transformer_stack(16);
   DpResult base;
-  u64 base_hits = 0;
   for (const i64 threads : {1, 4, 8}) {
-    MetricsRegistry reg;
     DpOptions opt = options_for(4);
     opt.num_threads = threads;
-    opt.metrics = &reg;
     const DpResult r = find_best_strategy(g, opt);
     ASSERT_EQ(r.status, DpStatus::kOk);
     if (threads == 1) {
       base = r;
-      base_hits = memo_hits(reg);
     } else {
       expect_same_result(base, r);
-      EXPECT_EQ(memo_hits(reg), base_hits);
+      EXPECT_EQ(r.cost_cache_hits, base.cost_cache_hits);
       EXPECT_EQ(r.cost_cache_misses, base.cost_cache_misses);
     }
   }

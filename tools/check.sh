@@ -134,7 +134,7 @@ mkdir -p "$OBS_TMP"
 expect 0 "trace + metrics outputs" -- \
   "$ROOT/tools/example_model.pase" --devices 8 \
   --trace-out "$OBS_TMP/trace.json" --metrics-out "$OBS_TMP/metrics.json"
-for phase in ordering configs dep_sets table_fill back_substitution; do
+for phase in ordering configs dep_sets cost_precompute table_fill back_substitution; do
   grep -q "\"name\":\"$phase\"" "$OBS_TMP/trace.json" \
     || bad "trace missing phase span: $phase"
 done

@@ -27,8 +27,8 @@
 // Search engine options: --threads N fans the DP's per-vertex cost
 // evaluations across N worker threads (0 = hardware concurrency, the
 // default; results are bit-identical at any setting); --no-cost-cache
-// disables the memoization of layer/transfer costs across structurally
-// identical layers.
+// turns off the per-class cost memo, so every layer/transfer cost table is
+// priced directly instead of shared across structurally identical layers.
 //
 // Heterogeneous clusters: --machine-spec FILE loads a machine description
 // (JSON; src/hetero/machine_file.h) with per-device FLOPS and per-link
@@ -150,7 +150,8 @@ void print_usage(std::FILE* out, const char* argv0) {
       "search engine: --threads N worker threads for the DP fan-out\n"
       "            (0 = hardware concurrency, the default; results are\n"
       "            bit-identical at any thread count); --no-cost-cache\n"
-      "            disables layer/transfer cost memoization\n"
+      "            turns off the per-class cost memo (every layer/transfer\n"
+      "            cost table priced directly; results unchanged)\n"
       "input limits: --max-model-nodes N rejects models with more than N\n"
       "            layers before any solver work (0 = unlimited, the\n"
       "            default); dimension products that would overflow 64-bit\n"
