@@ -4,12 +4,14 @@
 // concurrent mixed-zoo burst with qps, p50/p99 latency and cache hit rate.
 //
 // Output is one canonical JSON object on stdout (redirect to
-// BENCH_serve.json); human-readable numbers go to stderr. The structural
-// claim checked by tools/check.sh: the cached-hit p50 must be at least 10x
-// faster than the cold solve for every model measured.
+// BENCH_serve.json); human-readable numbers go to stderr. tools/check.sh
+// gates the cached-hit latencies and the burst p50 against the checked-in
+// baseline through tools/bench_gate; cold_ms and speedup are reported,
+// not gated.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,45 +59,51 @@ int main() {
   Json models_json = Json::make_object();
   std::fprintf(stderr, "%-14s %12s %12s %10s\n", "model", "cold(ms)",
                "cached(ms)", "speedup");
-  {
-    ServeCore core(options);
-    for (const std::string& m : zoo) {
-      const std::string line = solve_line(m, p);
+  for (const std::string& m : zoo) {
+    const std::string line = solve_line(m, p);
+    // Sub-millisecond cold solves swing with the host, so cold_ms is the
+    // minimum first-solve time over several fresh cores; the last core
+    // stays warm for the hit measurements below.
+    constexpr int kColdRuns = 5;
+    double cold_ms = 0.0;
+    std::unique_ptr<ServeCore> core;
+    for (int run = 0; run < kColdRuns; ++run) {
+      core = std::make_unique<ServeCore>(options);
       const double t0 = now_ms();
-      core.handle_line(line);
-      const double cold_ms = now_ms() - t0;
-      // Repeated verified hits (every one re-checks the stored cost, so
-      // this prices the verify-on-hit path, not a blind lookup), measured
-      // as min-of-3-windows: three independent windows of 64 timed hits
-      // (16 warm-ups each), taking the minimum of the per-window p50s and
-      // p99s. The check.sh perf gate compares these sub-100us numbers
-      // across runs with a 25% tolerance, so a transient contention spike
-      // must hit all three windows before it can move the reported value.
-      double cached_ms = 0.0, cached_p99_ms = 0.0;
-      for (int window = 0; window < 3; ++window) {
-        for (int i = 0; i < 16; ++i) core.handle_line(line);
-        std::vector<double> hits;
-        for (int i = 0; i < 64; ++i) {
-          const double h0 = now_ms();
-          core.handle_line(line);
-          hits.push_back(now_ms() - h0);
-        }
-        const double p50 = percentile(hits, 0.5);
-        const double p99 = percentile(hits, 0.99);
-        if (window == 0 || p50 < cached_ms) cached_ms = p50;
-        if (window == 0 || p99 < cached_p99_ms) cached_p99_ms = p99;
-      }
-      Json entry = Json::make_object();
-      entry.object["cold_ms"] = Json::make_number(cold_ms);
-      entry.object["cached_p50_ms"] = Json::make_number(cached_ms);
-      entry.object["cached_p99_ms"] = Json::make_number(cached_p99_ms);
-      entry.object["speedup"] =
-          Json::make_number(cached_ms > 0 ? cold_ms / cached_ms : 0.0);
-      std::fprintf(stderr, "%-14s %12.3f %12.3f %9.1fx\n", m.c_str(),
-                   cold_ms, cached_ms,
-                   cached_ms > 0 ? cold_ms / cached_ms : 0.0);
-      models_json.object[m] = std::move(entry);
+      core->handle_line(line);
+      const double ms = now_ms() - t0;
+      if (run == 0 || ms < cold_ms) cold_ms = ms;
     }
+    // Repeated verified hits (every one re-checks the stored cost, so
+    // this prices the verify-on-hit path, not a blind lookup), measured
+    // as min-of-3-windows: three independent windows of 64 timed hits
+    // (16 warm-ups each), taking the minimum of the per-window p50s and
+    // p99s. The check.sh perf gate compares these sub-100us numbers
+    // across runs with a 25% tolerance, so a transient contention spike
+    // must hit all three windows before it can move the reported value.
+    double cached_ms = 0.0, cached_p99_ms = 0.0;
+    for (int window = 0; window < 3; ++window) {
+      for (int i = 0; i < 16; ++i) core->handle_line(line);
+      std::vector<double> hits;
+      for (int i = 0; i < 64; ++i) {
+        const double h0 = now_ms();
+        core->handle_line(line);
+        hits.push_back(now_ms() - h0);
+      }
+      const double p50 = percentile(hits, 0.5);
+      const double p99 = percentile(hits, 0.99);
+      if (window == 0 || p50 < cached_ms) cached_ms = p50;
+      if (window == 0 || p99 < cached_p99_ms) cached_p99_ms = p99;
+    }
+    Json entry = Json::make_object();
+    entry.object["cold_ms"] = Json::make_number(cold_ms);
+    entry.object["cached_p50_ms"] = Json::make_number(cached_ms);
+    entry.object["cached_p99_ms"] = Json::make_number(cached_p99_ms);
+    entry.object["speedup"] =
+        Json::make_number(cached_ms > 0 ? cold_ms / cached_ms : 0.0);
+    std::fprintf(stderr, "%-14s %12.3f %12.3f %9.1fx\n", m.c_str(), cold_ms,
+                 cached_ms, cached_ms > 0 ? cold_ms / cached_ms : 0.0);
+    models_json.object[m] = std::move(entry);
   }
 
   // Mixed-zoo burst on a fresh core: 4 client threads, 200 requests.

@@ -66,16 +66,17 @@ class TraceSession;
 /// node ids are connected, in which direction) and the ordering kind. It is
 /// completely independent of tensor extents, batch size, device counts,
 /// bandwidths and cost params. A caller that re-solves the same topology
-/// under mutated parameters (the serving daemon after a batch-size change,
-/// the robustness evaluator re-solving per degraded machine) can hand the
-/// same DpContext to every solve: on an adjacency match the solver skips the
-/// ordering and vertex-set phases (both near-linear, milliseconds even at
-/// thousand-node scale) and only refills the DP tables. On any mismatch the
-/// context is ignored, so reuse can never change results; the solver
-/// verifies the stored (src, dst) edge list element-for-element rather than
-/// trusting a hash. Thread-safe; solves from any number of threads may share
-/// one context. The stored snapshot is replaced wholesale after a successful
-/// solve of a non-matching graph.
+/// under mutated parameters (the robustness evaluator re-solving per
+/// degraded machine behind pase_cli --reuse-tables, bench_table1's
+/// batch-size re-solve) can hand the same DpContext to every solve: on an
+/// adjacency match the solver skips the ordering and vertex-set phases
+/// (both near-linear, milliseconds even at thousand-node scale) and only
+/// refills the DP tables. On any mismatch the context is ignored, so reuse
+/// can never change results; the solver verifies the stored (src, dst) edge
+/// list element-for-element rather than trusting a hash. Thread-safe;
+/// solves from any number of threads may share one context. The stored
+/// snapshot is replaced wholesale after a successful solve of a
+/// non-matching graph.
 class DpContext {
  public:
   struct Snapshot {

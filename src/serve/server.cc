@@ -23,17 +23,11 @@
 #include "pipeline/pipeline.h"
 #include "serve/json.h"
 #include "sim/memory.h"
-#include "util/hash.h"
 #include "util/timer.h"
 
 namespace pase::serve {
 
 namespace {
-
-/// Bound on distinct comm models / DpContexts kept warm;
-/// past it the memos are dropped wholesale and simply warm up again (the
-/// result cache has real LRU — these are cheap to rebuild by comparison).
-constexpr size_t kMaxWarmMemos = 64;
 
 std::optional<Graph> build_zoo_graph(const std::string& name) {
   // Shared with pase_cli --zoo; see src/models/zoo.cc for the name table.
@@ -140,45 +134,6 @@ void ServeCore::watchdog_main() {
   }
 }
 
-std::shared_ptr<DpContext> ServeCore::dp_context_for(const Graph& graph) {
-  // Adjacency-only key: tensor extents are deliberately excluded so a
-  // batch/device/bandwidth mutation of a known topology lands on the same
-  // context (the whole point of delta re-solves). The context verifies the
-  // exact (src, dst) edge list before reuse — see DpContext::match.
-  u64 h = hash_combine(0x70617365u, static_cast<u64>(graph.num_nodes()));
-  for (const Edge& e : graph.edges())
-    h = hash_combine(h, hash_combine(static_cast<u64>(e.src),
-                                     static_cast<u64>(e.dst)));
-  std::lock_guard<std::mutex> lk(caches_mu_);
-  auto it = dp_contexts_.find(h);
-  if (it != dp_contexts_.end()) return it->second;
-  if (dp_contexts_.size() >= kMaxWarmMemos) dp_contexts_.clear();
-  auto context = std::make_shared<DpContext>();
-  dp_contexts_[h] = context;
-  return context;
-}
-
-std::shared_ptr<const CommModel> ServeCore::comm_model_for(
-    const ServeRequest& request) {
-  u64 h = 0x9e3779b97f4a7c15ull;
-  const std::string& machine_key = request.machine_spec_json.empty()
-                                       ? request.machine
-                                       : request.machine_spec_json;
-  for (const char c : machine_key) h = hash_combine(h, static_cast<u8>(c));
-  h = hash_combine(h, static_cast<u64>(request.devices));
-  for (const char c : request.comm_model)
-    h = hash_combine(h, static_cast<u8>(c));
-  std::lock_guard<std::mutex> lk(caches_mu_);
-  auto it = comm_models_.find(h);
-  if (it != comm_models_.end()) return it->second;
-  if (comm_models_.size() >= kMaxWarmMemos) comm_models_.clear();
-  const auto machine = resolve_machine(request);
-  const auto kind = parse_comm_model_kind(request.comm_model);
-  auto model = std::make_shared<const CommModel>(*machine, *kind);
-  comm_models_[h] = model;
-  return model;
-}
-
 // ---------------------------------------------------------------------------
 // Request scopes and the per-request telemetry surfaces
 
@@ -265,7 +220,6 @@ void ServeCore::log_event(const RequestScope& scope, const ServeRequest* req,
     if (audit->trip != nullptr)
       ev.object["trip"] = Json::make_string(audit->trip);
     if (audit->dedup) ev.object["dedup"] = Json::make_bool(true);
-    if (audit->reuse) ev.object["reuse"] = Json::make_bool(true);
     if (!audit->machine.empty())
       ev.object["machine"] = Json::make_string(audit->machine);
   }
@@ -516,9 +470,8 @@ ServeResponse ServeCore::handle_solve(const ServeRequest& req,
       // hetero_cost_params, not for_machine: verify-on-hit must re-price
       // with exactly the params run_solve used or every hetero hit would
       // read as poisoned.
-      CostParams params = hetero_cost_params(
+      const CostParams params = hetero_cost_params(
           *resolve_machine(req), *parse_comm_model_kind(req.comm_model));
-      if (params.comm) params.comm = comm_model_for(req);
       verified = CostModel(graph, params).total_cost(entry.strategy) ==
                  entry.check_cost;
     }
@@ -612,7 +565,6 @@ ServeResponse ServeCore::handle_solve(const ServeRequest& req,
   audit.queue_ms = out.queue_wait_ms;
   audit.solve_ms = out.solve_ms;
   audit.trip = out.trip;
-  audit.reuse = out.reused;
 
   resp.code = out.code;
   resp.reason = out.reason;
@@ -703,8 +655,6 @@ ServeCore::SolveOutcome ServeCore::run_solve(
   const MachineSpec machine = *resolve_machine(req);
   const CommModelKind comm_kind = *parse_comm_model_kind(req.comm_model);
   options.cost_params = hetero_cost_params(machine, comm_kind);
-  if (options.cost_params.comm)
-    options.cost_params.comm = comm_model_for(req);  // warm memo
   if (req.memory_gb > 0)
     options.config_options.filter = memory_config_filter(req.memory_gb * 1e9);
   // Whatever the queue and injected sleeps consumed already counts against
@@ -716,11 +666,6 @@ ServeCore::SolveOutcome ServeCore::run_solve(
   options.degraded_fallback = true;
   options.beam_width = req.beam_width;
   options.num_threads = options_.solver_threads;
-  std::shared_ptr<DpContext> context;
-  if (options_.reuse_tables) {
-    context = dp_context_for(graph);
-    options.context = context.get();
-  }
   options.metrics = &metrics_;
   // The solver's phase spans (ordering, table_fill, ...) nest inside this
   // lane's "solve" span in the request's own session.
@@ -744,10 +689,6 @@ ServeCore::SolveOutcome ServeCore::run_solve(
   out.solve_ms = ms_since(solve_start);
   if (result.trip_cause != DpResult::TripCause::kNone)
     out.trip = trip_cause_name(result.trip_cause);
-  out.reused = result.reused_tables;
-  if (options_.reuse_tables)
-    metrics_.add_counter(
-        result.reused_tables ? "serve.reuse.hits" : "serve.reuse.misses", 1);
   unregister();
 
   switch (result.status) {

@@ -2,7 +2,7 @@
 // long-running service). Two layers:
 //
 //  * ServeCore — transport-independent request handling: parse, admission
-//    control, single-flight deduplication, the warm caches, deadline
+//    control, single-flight deduplication, the result cache, deadline
 //    propagation, the watchdog, fault injection, and serve.* metrics. One
 //    handle_line() call per protocol line; safe from any number of
 //    threads. Tests drive this layer directly, no sockets involved.
@@ -22,11 +22,11 @@
 //    watchdog thread additionally cancels solves that overrun budget +
 //    grace (e.g. an injected worker stall) via the solver's cancellation
 //    token; a killed solve answers `error`.
-//  * Warm state: a (graph signature, machine, p, ...) -> result LRU, a
-//    CommModel memo and a DpContext per adjacency survive across
-//    requests. Cached results are verified on every hit
-//    (see result_cache.h) and only timing-independent results are stored,
-//    so a cache hit is byte-identical to a fresh solve.
+//  * Warm state: the (graph signature, machine, p, ...) -> result LRU is
+//    the only state kept across requests; a miss solves from scratch.
+//    Cached results are verified on every hit (see result_cache.h) and
+//    only timing-independent results are stored, so a cache hit is
+//    byte-identical to a fresh solve.
 //
 // Observability invariants (DESIGN.md §11):
 //  * Every request gets exactly one event-log line (obs/event_log.h),
@@ -67,11 +67,6 @@
 #include "serve/result_cache.h"
 #include "util/thread_pool.h"
 
-namespace pase {
-class CommModel;
-class DpContext;
-}  // namespace pase
-
 namespace pase::serve {
 
 struct ServeOptions {
@@ -94,13 +89,6 @@ struct ServeOptions {
   std::string event_log_path;  ///< stream the event log here ("" = memory
                                ///< ring only)
   i64 event_log_memory = 1024;  ///< in-memory event ring capacity
-  /// Delta re-solves: keep one DpContext per graph *adjacency* so a
-  /// cache-miss re-solve of a known topology under mutated parameters
-  /// (batch size, devices, bandwidths) skips the ordering/vertex-set
-  /// phases. Never changes results; the context verifies the adjacency
-  /// element-for-element before reuse. Responses/events report it via the
-  /// "reuse" field.
-  bool reuse_tables = true;
 };
 
 class ServeCore {
@@ -203,7 +191,6 @@ class ServeCore {
     double queue_wait_ms = 0.0;  ///< submit -> worker pickup
     double solve_ms = 0.0;       ///< solver wall time (excludes injects)
     const char* trip = nullptr;  ///< trip_cause_name() when a guard tripped
-    bool reused = false;  ///< solver reused a DpContext (delta re-solve)
   };
   struct Flight;
 
@@ -226,7 +213,6 @@ class ServeCore {
     const char* trip = nullptr;
     bool dedup = false;    ///< joined another request's flight
     bool admitted = false;  ///< this request was the flight leader
-    bool reuse = false;     ///< delta re-solve reused a warm DpContext
     /// Machine signature (src/hetero machine_signature, e.g. "1080Ti/p8",
     /// "MixedPod/p8/het"): lands in the event-log "machine" field and the
     /// serve.machine.* counters so heterogeneous requests are
@@ -242,12 +228,6 @@ class ServeCore {
                          std::chrono::steady_clock::time_point submitted,
                          double deadline_ms, const InjectDraw& draw,
                          TraceSession* trace, u64 seq);
-  std::shared_ptr<const CommModel> comm_model_for(const ServeRequest& request);
-  /// Warm DpContext keyed by graph *adjacency* (not the full structural
-  /// signature — extent mutations must land on the same context for delta
-  /// re-solves to fire). The context itself re-verifies the adjacency, so
-  /// a hash collision degrades to a context miss, never a wrong result.
-  std::shared_ptr<DpContext> dp_context_for(const Graph& graph);
   void watchdog_main();
   /// Renders + appends the one event-log line for this request.
   void log_event(const RequestScope& scope, const ServeRequest* request,
@@ -267,10 +247,6 @@ class ServeCore {
   RollingHistogram roll_total_;
   RollingHistogram roll_queue_;
   RollingHistogram roll_solve_;
-
-  std::mutex caches_mu_;
-  std::unordered_map<u64, std::shared_ptr<const CommModel>> comm_models_;
-  std::unordered_map<u64, std::shared_ptr<DpContext>> dp_contexts_;
 
   std::mutex flight_mu_;
   std::unordered_map<u64, std::shared_ptr<Flight>> flights_;

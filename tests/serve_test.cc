@@ -12,8 +12,10 @@
 #include <thread>
 #include <vector>
 
+#include "comm/comm_model.h"
 #include "core/dp_solver.h"
 #include "cost/machine.h"
+#include "hetero/hetero.h"
 #include "io/strategy_io.h"
 #include "mini_json.h"
 #include "models/models.h"
@@ -766,34 +768,75 @@ TEST(ServeObs, MetricsOpReportsRollingSloQuantiles) {
 }
 
 // ---------------------------------------------------------------------------
-// Delta re-solves (docs/SCALING.md): per-adjacency DpContext reuse
+// One warm store: the result cache is all a core keeps across requests
 
-TEST(ServeCore, DeltaReSolveReusesTablesAcrossDeviceCounts) {
-  ServeCore core(quiet_options());
-  // First solve of this topology: context primed, nothing to reuse.
-  const auto cold = parse_json(core.handle_line(solve_line("mlp", 4)));
-  ASSERT_EQ(cold->get_string("code"), "ok");
-  EXPECT_EQ(core.metrics().counter("serve.reuse.misses"), 1u);
-  EXPECT_EQ(core.metrics().counter("serve.reuse.hits"), 0u);
+/// MachineSpec::mixed_pod(p) (p <= 8: one PCIe tier) spelled as an inline
+/// machine_spec, field for field.
+std::string mixed_pod_spec(i64 p) {
+  std::string flops;
+  for (i64 d = 0; d < p; ++d)
+    flops += std::string(d ? "," : "") + (d < p / 2 ? "13.4e12" : "11.3e12");
+  const std::string n = std::to_string(p);
+  return ",\"machine_spec\":{\"name\":\"MixedPod\",\"devices\":" + n +
+         ",\"devices_per_node\":8,\"peak_flops\":11.3e12,"
+         "\"device_flops\":[" + flops + "],"
+         "\"intra_node_bandwidth\":12e9,\"inter_node_bandwidth\":7e9,"
+         "\"link_bandwidth\":7e9,\"gradient_comm_discount\":0.15,"
+         "\"link_tiers\":[{\"span\":" + n +
+         ",\"bandwidth\":12e9,\"latency_s\":5e-6}]}";
+}
 
-  // Different device count: a result-cache miss, but the graph adjacency
-  // is unchanged, so the solver reuses the stored ordering/vertex sets.
-  const auto delta = parse_json(core.handle_line(solve_line("mlp", 8)));
-  ASSERT_EQ(delta->get_string("code"), "ok");
-  EXPECT_EQ(delta->get_string("cache"), "miss");
-  EXPECT_EQ(core.metrics().counter("serve.reuse.hits"), 1u);
+TEST(ServeCore, MissOnWarmCoreMatchesFreshCoreAndDirectSolve) {
+  // A core that already served the same topology at another device count
+  // keeps nothing from it but result-cache entries, so its miss must equal
+  // a fresh core's answer and a direct solve: under the auto and
+  // hierarchical comm models, for the named preset and the same machine
+  // spelled inline. Each repeat is a verified hit, never "poisoned".
+  // The model is alexnet because auto and hier price its collectives
+  // differently (on mlp they agree).
+  const Graph graph = *models::zoo_graph("alexnet");
+  ServeCore warm(quiet_options());
+  for (const char* comm : {"auto", "hier"}) {
+    for (const bool inline_spec : {false, true}) {
+      const auto extra = [&](i64 p) {
+        return (inline_spec ? mixed_pod_spec(p)
+                            : std::string(",\"machine\":\"mixed_pod\"")) +
+               ",\"comm_model\":\"" + comm + "\"";
+      };
+      SCOPED_TRACE(extra(8));
+      const auto primed =
+          parse_json(warm.handle_line(solve_line("alexnet", 4, extra(4))));
+      ASSERT_EQ(primed->get_string("code"), "ok");
 
-  // Reuse must be invisible in the answer: bit-identical to a cold core.
-  ServeCore fresh(quiet_options());
-  const auto direct = parse_json(fresh.handle_line(solve_line("mlp", 8)));
-  EXPECT_EQ(delta->get_string("strategy"), direct->get_string("strategy"));
-  EXPECT_EQ(delta->get_number("cost"), direct->get_number("cost"));
+      const std::string line = solve_line("alexnet", 8, extra(8));
+      const auto miss = parse_json(warm.handle_line(line));
+      ASSERT_EQ(miss->get_string("code"), "ok");
+      EXPECT_EQ(miss->get_string("cache"), "miss");
 
-  // The event log records the reuse on the delta line only.
-  const std::vector<std::string> tail = core.event_log().tail();
-  ASSERT_EQ(tail.size(), 2u);
-  EXPECT_FALSE(parse_json(tail[0])->get_bool("reuse", false));
-  EXPECT_TRUE(parse_json(tail[1])->get_bool("reuse", false));
+      ServeCore fresh(quiet_options());
+      const auto cold = parse_json(fresh.handle_line(line));
+      EXPECT_EQ(miss->get_string("strategy"), cold->get_string("strategy"));
+      EXPECT_EQ(miss->get_number("cost"), cold->get_number("cost"));
+
+      DpOptions options;
+      options.config_options.max_devices = 8;
+      options.cost_params = hetero_cost_params(
+          MachineSpec::mixed_pod(8), *parse_comm_model_kind(comm));
+      options.degraded_fallback = true;
+      const DpResult direct = find_best_strategy(graph, options);
+      ASSERT_EQ(direct.status, DpStatus::kOk);
+      EXPECT_EQ(miss->get_number("cost"), direct.best_cost);
+      EXPECT_EQ(miss->get_string("strategy"),
+                write_strategy(graph, direct.strategy));
+
+      const auto repeat = parse_json(warm.handle_line(line));
+      EXPECT_EQ(repeat->get_string("cache"), "hit");
+      EXPECT_EQ(repeat->get_string("strategy"), miss->get_string("strategy"));
+      EXPECT_EQ(repeat->get_number("cost"), miss->get_number("cost"));
+    }
+  }
+  EXPECT_EQ(warm.metrics().counter("serve.cache.hits"), 4u);
+  EXPECT_EQ(warm.metrics().counter("serve.cache.poison_detected"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -905,16 +948,6 @@ TEST(ServeCore, PipelineStagesExceedingLayersIsMalformed) {
   const auto r = parse_json(core.handle_line(
       solve_line("mlp", 8, ",\"pipeline_stages\":8")));
   EXPECT_EQ(r->get_string("code"), "malformed");
-}
-
-TEST(ServeCore, DeltaReSolveCanBeDisabled) {
-  ServeOptions options = quiet_options();
-  options.reuse_tables = false;
-  ServeCore core(options);
-  core.handle_line(solve_line("mlp", 4));
-  core.handle_line(solve_line("mlp", 8));
-  EXPECT_EQ(core.metrics().counter("serve.reuse.hits"), 0u);
-  EXPECT_EQ(core.metrics().counter("serve.reuse.misses"), 0u);
 }
 
 }  // namespace
